@@ -10,13 +10,7 @@ from crcontact.mesh import (
     generate_structured,
     refine_uniform,
 )
-from crcontact.material import (
-    MaterialModel,
-    SymTensor2,
-    lame_from_engineering,
-    strain,
-    stress,
-)
+from crcontact.material import MaterialModel, lame_from_engineering
 from crcontact.space import CRFunction, CRSpace, build_space, interpolate_cr, prolongate
 from crcontact.assembly import (
     DiscreteSystem,
@@ -55,10 +49,7 @@ __all__ = [
     "generate_structured",
     "refine_uniform",
     "MaterialModel",
-    "SymTensor2",
     "lame_from_engineering",
-    "strain",
-    "stress",
     "CRFunction",
     "CRSpace",
     "build_space",

@@ -1,9 +1,11 @@
 """Mesh-dependent energy norms, convergence orders and a desk-scale oracle.
 
-The energy norm evaluator is an independent quadrature path from the
-stiffness assembly: it forms elementwise strains and edge-trace jumps
-directly from the coefficient vector, so v^T K v and |||v|||^2 can be
-cross-checked against each other.
+The energy norm evaluator takes the element gradients and signed edge
+traces from the batched CR kernel of ``crcontact.space``, as the stiffness
+assembly does, but applies them to the coefficient vector as sparse
+gradient and jump operators and evaluates the strain-energy density with
+its own formula. v^T K v and |||v|||^2 are therefore an independent
+cross-check of the assembled element and penalty blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import scipy.sparse as sp
 from crcontact.assembly import DiscreteSystem
 from crcontact.material import MaterialModel
 from crcontact.mesh import edge_sets
-from crcontact.space import CRFunction, CRSpace, cr_gradients, cr_values, prolongate
+from crcontact.space import CRFunction, CRSpace, _jump_traces, cr_gradients, prolongate
 
 
 @dataclass
@@ -62,43 +64,28 @@ class EnergyNormEvaluator:
         nt = mesh.n_triangles
         n = space.n_dofs_free
 
-        rows, cols, vals = [], [], []
-        areas = np.empty(nt)
-        for t in range(nt):
-            grads, area = cr_gradients(mesh.triangle_coords(t))
-            areas[t] = area
-            for l in range(3):
-                for i in range(2):
-                    d = space.local_dofs[t, l, i]
-                    if d < 0:
-                        continue
-                    for j in range(2):
-                        rows.append(4 * t + 2 * i + j)
-                        cols.append(d)
-                        vals.append(grads[l, j])
-        self._grad_op = sp.coo_matrix((vals, (rows, cols)), shape=(4 * nt, n)).tocsr()
-        self._areas = areas
+        # row 4t + 2i + j holds d u_i / d x_j on triangle t
+        grads, self._areas = cr_gradients(mesh.vertices[mesh.triangles])
+        rows = np.broadcast_to((4 * np.arange(nt))[:, None, None, None]
+                               + 2 * np.arange(2)[:, None] + np.arange(2), (nt, 3, 2, 2))
+        cols = np.broadcast_to(space.local_dofs[..., None], rows.shape)
+        vals = np.broadcast_to(grads[:, :, None, :], rows.shape)
+        keep = cols >= 0
+        self._grad_op = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                                      shape=(4 * nt, n)).tocsr()
 
-        sets = edge_sets(mesh)
-        rows, cols, vals = [], [], []
-        r = 0
-        for e in sets.stabilized:
-            pts = space.edge_gauss_points(e)
-            tris = [t for t in mesh.edge_tris[e] if t >= 0]
-            signs = (1.0, -1.0)
-            for tri, sign in zip(tris, signs):
-                traces = cr_values(mesh.triangle_coords(tri), pts)  # (2 pts, 3)
-                for q in range(2):
-                    for j in range(3):
-                        for c in range(2):
-                            d = space.local_dofs[tri, j, c]
-                            if d < 0:
-                                continue
-                            rows.append(r + 2 * q + c)
-                            cols.append(d)
-                            vals.append(sign * traces[q, j])
-            r += 4
-        self._jump_op = sp.coo_matrix((vals, (rows, cols)), shape=(r, n)).tocsr()
+        # row 4k + 2q + c holds the jump of component c at Gauss point q of
+        # the k-th stabilized edge
+        phi, dofs = _jump_traces(space, edge_sets(mesh).stabilized)  # (k, 2, 2, 3), (k, 2, 3, 2)
+        k = len(phi)
+        shape = (k, 2, 2, 3, 2)  # edge, side, Gauss point, local edge, component
+        rows = np.broadcast_to((4 * np.arange(k))[:, None, None, None, None]
+                               + 2 * np.arange(2)[:, None, None] + np.arange(2), shape)
+        cols = np.broadcast_to(dofs[:, :, None], shape)
+        vals = np.broadcast_to(phi[..., None], shape)
+        keep = cols >= 0
+        self._jump_op = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                                      shape=(4 * k, n)).tocsr()
 
     def breakdown(self, v: CRFunction) -> EnergyNormBreakdown:
         lam, mu = self.material.lam, self.material.mu

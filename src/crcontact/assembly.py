@@ -5,6 +5,11 @@ element, exact) with an edge-jump penalty 2*rho*mu/h_e over interior and
 Dirichlet edges, integrated with 2-point Gauss (exact for CR jumps, which
 are linear along each edge). The friction functional uses the one-point
 midpoint rule per contact edge, whose value is exactly the tangential DOF.
+
+Each term is built in one pass per mesh: the batched CR kernel of
+``crcontact.space`` gives every element gradient and edge trace at once,
+and the COO triplets come from the local DOF map with the eliminated (-1)
+DOFs masked out.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import scipy.sparse as sp
 
 from crcontact.mesh import BoundaryLabel, edge_sets
 from crcontact.material import MaterialModel
-from crcontact.space import CRFunction, CRSpace, cr_gradients, cr_values
+from crcontact.space import CRFunction, CRSpace, _jump_traces, cr_gradients, cr_values
 
 
 class AssemblyError(ValueError):
@@ -87,17 +92,20 @@ class LoadSpec:
 
 
 def element_stiffness(coords: np.ndarray, mat: MaterialModel) -> np.ndarray:
-    """6x6 element matrix area * B^T D B in DOF order (e0x, e0y, ..., e2y).
+    """Element matrices area * B^T D B in DOF order (e0x, e0y, ..., e2y).
 
-    The strain is constant per element, so the one-point rule is exact.
+    ``coords`` is (..., 3, 2); the result is (..., 6, 6). The strain is
+    constant per element, so the one-point rule is exact.
     """
     grads, area = cr_gradients(coords)
-    B = np.zeros((3, 6))
-    for j in range(3):
-        gx, gy = grads[j]
-        B[:, 2 * j] = (gx, 0.0, gy)
-        B[:, 2 * j + 1] = (0.0, gy, gx)
-    return area * (B.T @ mat.dmatrix() @ B)
+    gx, gy = grads[..., 0], grads[..., 1]
+    # rows (eps_xx, eps_yy, 2 eps_xy); columns 2j, 2j + 1 are the x, y dofs of edge j
+    B = np.zeros(area.shape + (3, 6))
+    B[..., 0, 0::2] = gx
+    B[..., 1, 1::2] = gy
+    B[..., 2, 0::2] = gy
+    B[..., 2, 1::2] = gx
+    return area[..., None, None] * (B.swapaxes(-1, -2) @ mat.dmatrix() @ B)
 
 
 def assemble_stiffness(space: CRSpace, mat: MaterialModel, rho: float) -> DiscreteSystem:
@@ -105,91 +113,57 @@ def assemble_stiffness(space: CRSpace, mat: MaterialModel, rho: float) -> Discre
     if rho <= 0:
         raise AssemblyError(f"stabilization parameter must be positive, got {rho}")
     mesh = space.mesh
+    nt = mesh.n_triangles
+
+    # element term: constant strain per triangle, one (6, 6) block each
+    elem = element_stiffness(mesh.vertices[mesh.triangles], mat)
+    elem_dofs = space.local_dofs.reshape(nt, 6)  # (e0x, e0y, e1x, e1y, e2x, e2y)
+
+    # jump penalty over interior and Dirichlet edges, one block per component;
+    # weight (2 rho mu / h_e) * (h_e / 2) per Gauss point
+    phi, dofs = _jump_traces(space, edge_sets(mesh).stabilized)
+    k = len(phi)
+    phi = phi.swapaxes(2, 3).reshape(k, 6, 2)
+    jump = mat.mu * rho * (phi @ phi.swapaxes(1, 2))
+    jump = np.broadcast_to(jump[:, None], (k, 2, 6, 6))
+    jump_dofs = dofs.reshape(k, 6, 2).swapaxes(1, 2)  # (k, 2 comps, 6)
 
     rows, cols, vals = [], [], []
-
-    # element term: constant strain per triangle
-    for t in range(mesh.n_triangles):
-        Kt = element_stiffness(mesh.triangle_coords(t), mat)
-        dofs = space.local_dofs[t].reshape(6)  # (e0x, e0y, e1x, e1y, e2x, e2y)
-        _scatter(rows, cols, vals, dofs, Kt)
-
-    # jump penalty over interior and Dirichlet edges
-    sets = edge_sets(mesh)
-    for e in sets.stabilized:
-        pts = space.edge_gauss_points(e)
-        h_e = mesh.edge_lengths[e]
-        tris = [t for t in mesh.edge_tris[e] if t >= 0]
-        signs = [1.0, -1.0][: len(tris)]
-        phi = []  # rows of (dof pair per component, trace values at the 2 pts)
-        dof_rows = []
-        for tri, sign in zip(tris, signs):
-            traces = sign * cr_values(mesh.triangle_coords(tri), pts)  # (2, 3)
-            for j in range(3):
-                phi.append(traces[:, j])
-                dof_rows.append(space.local_dofs[tri, j])
-        phi = np.array(phi)  # (nrows, 2 gauss pts)
-        dof_rows = np.array(dof_rows)  # (nrows, 2 comps)
-        # weight: (2 rho mu / h_e) * (h_e / 2) per Gauss point
-        scalar = mat.mu * rho * (phi @ phi.T)
-        for c in range(2):
-            _scatter(rows, cols, vals, dof_rows[:, c], scalar)
-
+    for d, block in ((elem_dofs, elem), (jump_dofs, jump)):
+        rows.append(np.broadcast_to(d[..., :, None], block.shape).ravel())
+        cols.append(np.broadcast_to(d[..., None, :], block.shape).ravel())
+        vals.append(block.ravel())
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keep = np.minimum(rows, cols) >= 0
     n = space.n_dofs_free
-    K = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
+    K = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
     K.sum_duplicates()
     return DiscreteSystem(space=space, material=mat, rho=rho, K=K)
-
-
-def _scatter(rows, cols, vals, dofs, local):
-    """Accumulate a dense local matrix into COO triplets, skipping -1 dofs."""
-    keep = dofs >= 0
-    idx = np.nonzero(keep)[0]
-    if len(idx) == 0:
-        return
-    d = dofs[idx]
-    r, c = np.meshgrid(d, d, indexing="ij")
-    rows.append(r.ravel())
-    cols.append(c.ravel())
-    vals.append(local[np.ix_(idx, idx)].ravel())
 
 
 def assemble_load(space: CRSpace, loads: LoadSpec, t: float) -> np.ndarray:
     """Load vector: body force plus Neumann traction at time t."""
     mesh = space.mesh
-    F = np.zeros(space.n_dofs_free)
 
-    fvec = loads.f_at(t)
-    if np.any(fvec != 0.0):
-        # 3-midpoint rule; basis j is 1 at its own midpoint, 0 at the others
-        for tri in range(mesh.n_triangles):
-            _, area = cr_gradients(mesh.triangle_coords(tri))
-            for j in range(3):
-                for c in range(2):
-                    d = space.local_dofs[tri, j, c]
-                    if d >= 0:
-                        F[d] += fvec[c] * area / 3.0
+    # body force by the 3-midpoint rule: basis j is 1 at its own midpoint,
+    # 0 at the others
+    body = np.broadcast_to(loads.f_at(t) * mesh.areas[:, None, None] / 3.0,
+                           space.local_dofs.shape)
 
-    sides = loads.g_sides
     neumann = np.nonzero(mesh.edge_labels == BoundaryLabel.NEUMANN)[0]
-    for e in neumann:
-        if sides is not None and mesh.boundary_side(e) not in sides:
-            continue
-        pts = space.edge_gauss_points(e)
-        gvals = loads.g_at(pts, t)  # (2 pts, 2 comps)
-        if not np.any(gvals):
-            continue
-        tri = mesh.edge_tris[e, 0]
-        traces = cr_values(mesh.triangle_coords(tri), pts)  # (2 pts, 3)
-        w = 0.5 * mesh.edge_lengths[e]
-        for j in range(3):
-            for c in range(2):
-                d = space.local_dofs[tri, j, c]
-                if d >= 0:
-                    F[d] += w * np.dot(gvals[:, c], traces[:, j])
-    return F
+    if loads.g_sides is not None:
+        neumann = neumann[np.isin(mesh.boundary_side(neumann), loads.g_sides)]
+    pts = space.edge_gauss_points(neumann)  # (k, 2 pts, 2)
+    tris = mesh.edge_tris[neumann, 0]
+    traces = cr_values(mesh.triangle_coords(tris), pts)  # (k, 2 pts, 3)
+    gvals = loads.g_at(pts, t)  # (k, 2 pts, 2 comps)
+    w = 0.5 * mesh.edge_lengths[neumann]
+    traction = w[:, None, None] * (traces.swapaxes(1, 2) @ gvals)  # (k, 3, 2)
+
+    dofs = np.concatenate([space.local_dofs, space.local_dofs[tris]]).ravel()
+    vals = np.concatenate([body, traction]).ravel()
+    keep = dofs >= 0
+    return np.bincount(dofs[keep], weights=vals[keep], minlength=space.n_dofs_free)
 
 
 def friction_value(space: CRSpace, g_a: float, v: CRFunction) -> float:

@@ -265,17 +265,10 @@ def run_single(config: ProblemConfig, level: int = 0,
 
 def _edge_fields(space, u) -> np.ndarray:
     """Per non-Dirichlet edge: midpoint coordinates and DOF values."""
-    rows = []
-    mesh = space.mesh
-    for e in range(mesh.n_edges):
-        dx, dy = space.dof_x[e], space.dof_y[e]
-        if dx < 0 and dy < 0:
-            continue
-        mx, my = mesh.midpoints[e]
-        ux = u.coeffs[dx] if dx >= 0 else 0.0
-        uy = u.coeffs[dy] if dy >= 0 else 0.0
-        rows.append((mx, my, ux, uy))
-    return np.array(rows)
+    keep = (space.dof_x >= 0) | (space.dof_y >= 0)
+    padded = np.append(u.coeffs, 0.0)  # -1 picks the trailing zero
+    return np.column_stack([space.mesh.midpoints[keep],
+                            padded[space.dof_x[keep]], padded[space.dof_y[keep]]])
 
 
 def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRow]:
@@ -295,7 +288,8 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
         try:
             space, _, traj = solve_level(config, mesh, level, log=log)
         except (SolverError, UzawaError) as exc:
-            raise type(exc)(f"level {level}: {exc}") from exc
+            exc.args = (f"level {level}: {exc}",) + exc.args[1:]
+            raise
         solutions.append(traj)
         error = None
         if level > 0:

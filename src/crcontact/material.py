@@ -1,4 +1,4 @@
-"""Isotropic linear elasticity: Lame parameters, strain and stress maps."""
+"""Isotropic linear elasticity: Lame parameters and the elasticity matrix."""
 
 from __future__ import annotations
 
@@ -23,23 +23,6 @@ def lame_from_engineering(E: float, nu: float) -> tuple[float, float]:
     mu = E / (2.0 * (1.0 + nu))
     lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     return lam, mu
-
-
-@dataclass(frozen=True)
-class SymTensor2:
-    """Symmetric 2x2 tensor (stress or strain)."""
-
-    xx: float
-    yy: float
-    xy: float
-
-    @property
-    def trace(self) -> float:
-        return self.xx + self.yy
-
-    def contract(self, other: "SymTensor2") -> float:
-        """Frobenius double contraction a : b."""
-        return self.xx * other.xx + self.yy * other.yy + 2.0 * self.xy * other.xy
 
 
 @dataclass(frozen=True)
@@ -74,18 +57,3 @@ class MaterialModel:
             [0.0, 0.0, mu],
         ])
 
-
-def strain(grad_u) -> SymTensor2:
-    """Symmetric part of a 2x2 displacement gradient."""
-    g = np.asarray(grad_u, dtype=float)
-    return SymTensor2(xx=g[0, 0], yy=g[1, 1], xy=0.5 * (g[0, 1] + g[1, 0]))
-
-
-def stress(eps: SymTensor2, mat: MaterialModel) -> SymTensor2:
-    """Hooke's law sigma = lam tr(eps) I + 2 mu eps."""
-    lt = mat.lam * eps.trace
-    return SymTensor2(
-        xx=lt + 2.0 * mat.mu * eps.xx,
-        yy=lt + 2.0 * mat.mu * eps.yy,
-        xy=2.0 * mat.mu * eps.xy,
-    )

@@ -159,19 +159,20 @@ class Mesh:
         raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
         raw_sorted = np.sort(raw, axis=1)
         edges, inv = np.unique(raw_sorted, axis=0, return_inverse=True)
+        inv = inv.ravel()
         ne = len(edges)
         tri_edges = inv.reshape(3, nt).T
 
+        # adjacent triangles of each edge in (local edge, triangle) order
+        counts = np.bincount(inv, minlength=ne)
+        if np.any(counts > 2):
+            raise MeshError(f"edge {int(np.argmax(counts > 2))} shared by more than two triangles")
+        tris = np.argsort(inv, kind="stable") % nt
+        start = np.cumsum(counts) - counts
         edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        counts = np.zeros(ne, dtype=np.int64)
-        for local in range(3):
-            for tri, e in enumerate(tri_edges[:, local]):
-                if counts[e] >= 2:
-                    raise MeshError(f"edge {e} shared by more than two triangles")
-                edge_tris[e, counts[e]] = tri
-                counts[e] += 1
-        if np.any(counts == 0):
-            raise MeshError("dangling edge with no adjacent triangle")
+        edge_tris[:, 0] = tris[start]
+        second = counts == 2
+        edge_tris[second, 1] = tris[start[second] + 1]
 
         self.edges = edges
         self.tri_edges = tri_edges
@@ -230,30 +231,24 @@ class Mesh:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def h_max(self) -> float:
-        """Largest triangle diameter (longest edge of the mesh)."""
-        return float(self.edge_lengths.max())
-
-    def triangle_coords(self, t: int) -> np.ndarray:
+    def triangle_coords(self, t) -> np.ndarray:
+        """Vertex coordinates of triangle(s) t: (3, 2), or t.shape + (3, 2)."""
         return self.vertices[self.triangles[t]]
 
-    def boundary_side(self, e: int) -> str:
-        """Which rectangle side a boundary edge lies on."""
-        if self.edge_tris[e, 1] >= 0:
+    def boundary_side(self, e):
+        """Which rectangle side boundary edge(s) e lie on: a name, or an array of names."""
+        e = np.asarray(e)
+        if np.any(self.edge_tris[e, 1] >= 0):
             raise MeshError(f"edge {e} is interior")
         dom = self.domain
         tol = 1e-12 * dom.diameter
-        mx, my = self.midpoints[e]
-        if abs(mx - dom.x_min) <= tol:
-            return "left"
-        if abs(mx - dom.x_max) <= tol:
-            return "right"
-        if abs(my - dom.y_min) <= tol:
-            return "bottom"
-        if abs(my - dom.y_max) <= tol:
-            return "top"
-        raise MeshError(f"boundary edge {e} is not on the rectangle boundary")
+        mx, my = self.midpoints[e].T
+        on_side = [np.abs(mx - dom.x_min) <= tol, np.abs(mx - dom.x_max) <= tol,
+                   np.abs(my - dom.y_min) <= tol, np.abs(my - dom.y_max) <= tol]
+        if not np.all(np.any(on_side, axis=0)):
+            raise MeshError(f"boundary edge {e} is not on the rectangle boundary")
+        side = np.select(on_side, SIDES, default="")
+        return str(side) if side.ndim == 0 else side
 
     def dump(self, path) -> None:
         """Write the plain-text mesh format: one line per entity."""

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from crcontact.assembly import DiscreteSystem, LoadSpec, assemble_load, friction_rhs
+from crcontact.assembly import DiscreteSystem, LoadSpec, assemble_load
 from crcontact.space import CRFunction, interpolate_cr
 
 
@@ -28,7 +28,11 @@ class SolverError(RuntimeError):
 
 
 class UzawaError(RuntimeError):
-    """Raised when the inner Uzawa iteration exceeds its iteration cap."""
+    """Raised when the inner Uzawa iteration exceeds its iteration cap.
+
+    Carries the last iterates (``last_u``, ``last_lam``, as arrays), the
+    increment ``history`` and, when raised inside ``march``, the ``step``.
+    """
 
     def __init__(self, message, last_u=None, last_lam=None, history=None, step=None):
         super().__init__(message)
@@ -179,20 +183,21 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
 
 def uzawa_iterate(factor: SPDFactor, load: np.ndarray, tangent_idx: np.ndarray,
                   g_a: float, edge_weights: np.ndarray, prev_tau: np.ndarray,
-                  k_n: float, rho_tilde: float, eps: float, max_iter: int):
+                  k_n: float, rho_tilde: float, eps: float, max_iter: int,
+                  lam0: Optional[np.ndarray] = None):
     """Array-level Uzawa loop on an arbitrary SPD system.
 
     Alternates K u = load - c(lambda) with c_i = g_a * w_i * lambda_i on the
-    tangential rows, and lambda <- P(lambda + rho_tilde * g_a * velocity).
+    tangential rows, and lambda <- P(lambda + rho_tilde * g_a * velocity),
+    starting from lambda = P(lam0), or zero when lam0 is None.
     Returns (u, lambda, iterations, increment history).
     """
     n = factor.K.shape[0]
     m = len(tangent_idx)
-    lam = np.zeros(m)
+    lam = np.zeros(m) if lam0 is None else projection_P(np.asarray(lam0, dtype=float))
     coupling = np.zeros(n)
 
     def solve_with(lam):
-        coupling[:] = 0.0
         coupling[tangent_idx] = g_a * edge_weights * lam
         return factor.solve(load - coupling)
 
@@ -222,7 +227,7 @@ def uzawa_step_solve(system: DiscreteSystem, load_n: np.ndarray, u_prev: CRFunct
     Returns (u, FrictionState, iterations). The multiplier update uses the
     tangential backward-difference velocity (u - u_prev)_tau / k_n, and the
     iteration stops when the max-norm of successive displacement iterates
-    drops below cfg.eps.
+    drops below cfg.eps. ``lam0`` warm-starts the multiplier.
     """
     space = system.space
     if factor is None:
@@ -237,30 +242,9 @@ def uzawa_step_solve(system: DiscreteSystem, load_n: np.ndarray, u_prev: CRFunct
                  if cfg.rho_tilde == "auto" else float(cfg.rho_tilde))
 
     idx = space.contact_tangent_dof
-    prev_tau = u_prev.coeffs[idx]
-    if lam0 is None:
-        u, lam, it, _ = uzawa_iterate(factor, load_n, idx, g_a,
-                                      system.contact_weights, prev_tau, k_n,
-                                      rho_tilde, cfg.eps, cfg.max_iter)
-    else:
-        # warm start: shift the initial solve by the inherited multiplier
-        lam = projection_P(np.asarray(lam0, dtype=float))
-        u = factor.solve(load_n - friction_rhs(space, g_a, lam))
-        history = []
-        for it in range(1, cfg.max_iter + 1):
-            vel_tau = (u[idx] - prev_tau) / k_n
-            lam = projection_P(lam + rho_tilde * g_a * vel_tau)
-            u_new = factor.solve(load_n - friction_rhs(space, g_a, lam))
-            incr = float(np.max(np.abs(u_new - u)))
-            history.append(incr)
-            u = u_new
-            if incr < cfg.eps:
-                break
-        else:
-            raise UzawaError(
-                f"Uzawa iteration failed to converge within {cfg.max_iter} iterations "
-                f"(last increment {history[-1]:.3e})",
-                last_u=CRFunction(space, u), last_lam=lam, history=history)
+    u, lam, it, _ = uzawa_iterate(factor, load_n, idx, g_a, system.contact_weights,
+                                  u_prev.coeffs[idx], k_n, rho_tilde, cfg.eps,
+                                  cfg.max_iter, lam0=lam0)
     return CRFunction(space, u), FrictionState(lam), it
 
 

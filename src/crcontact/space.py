@@ -18,44 +18,45 @@ from crcontact.mesh import BoundaryLabel, Mesh, MeshError
 GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
 
-def cr_gradients(coords: np.ndarray) -> tuple[np.ndarray, float]:
-    """Constant gradients of the three CR shape functions on a triangle.
+def cr_gradients(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constant gradients of the three CR shape functions on triangles.
 
     Shape function j equals 1 on the edge opposite vertex j, i.e.
     psi_j = 1 - 2 * lambda_j with lambda_j the barycentric coordinate.
-    Returns (grads (3, 2), area).
+    ``coords`` is (..., 3, 2), one triangle or a stack of them. Returns
+    (grads (..., 3, 2), areas (...)); raises MeshError if any triangle is
+    degenerate or clockwise.
     """
     p = np.asarray(coords, dtype=float)
-    d1 = p[1] - p[0]
-    d2 = p[2] - p[0]
-    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-    if area <= 0:
+    d1 = p[..., 1, :] - p[..., 0, :]
+    d2 = p[..., 2, :] - p[..., 0, :]
+    area = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    if np.any(area <= 0):
         raise MeshError("triangle is degenerate or clockwise")
-    grad_bary = np.array([
-        [p[1, 1] - p[2, 1], p[2, 0] - p[1, 0]],
-        [p[2, 1] - p[0, 1], p[0, 0] - p[2, 0]],
-        [p[0, 1] - p[1, 1], p[1, 0] - p[0, 0]],
-    ]) / (2.0 * area)
+    # edge opposite vertex j runs from vertex j+1 to vertex j+2
+    opp = p[..., [2, 0, 1], :] - p[..., [1, 2, 0], :]
+    grad_bary = np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / (2.0 * area)[..., None, None]
     return -2.0 * grad_bary, area
 
 
 def cr_values(coords: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """CR shape function values at given points inside a triangle.
+    """CR shape function values at given points inside triangles.
 
-    Returns an (npts, 3) array; row sums are identically 1.
+    ``coords`` is (..., 3, 2) and ``points`` (..., npts, 2); the leading
+    axes broadcast. Returns an (..., npts, 3) array whose rows sum to 1.
     """
     p = np.asarray(coords, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d1 = p[1] - p[0]
-    d2 = p[2] - p[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if det <= 0:
+    d1 = p[..., None, 1, :] - p[..., None, 0, :]
+    d2 = p[..., None, 2, :] - p[..., None, 0, :]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    if np.any(det <= 0):
         raise MeshError("triangle is degenerate or clockwise")
-    r = pts - p[0]
-    l1 = (r[:, 0] * d2[1] - r[:, 1] * d2[0]) / det
-    l2 = (d1[0] * r[:, 1] - d1[1] * r[:, 0]) / det
+    r = pts - p[..., None, 0, :]
+    l1 = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
+    l2 = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
     l0 = 1.0 - l1 - l2
-    bary = np.column_stack([l0, l1, l2])
+    bary = np.stack([l0, l1, l2], axis=-1)
     return 1.0 - 2.0 * bary
 
 
@@ -81,48 +82,33 @@ class CRSpace:
         if np.any(boundary & (labels == BoundaryLabel.INTERIOR)):
             raise MeshError("mesh has unclassified boundary edges")
 
-        ne = mesh.n_edges
-        dof_x = np.full(ne, -1, dtype=np.int64)
-        dof_y = np.full(ne, -1, dtype=np.int64)
-        contact_edges = []
-        contact_tangent_dof = []
-        contact_tangent_axis = []
+        # per-edge component count: none on Dirichlet edges, the tangential
+        # one on contact edges, both otherwise; numbered in edge order
+        contact = np.nonzero(labels == BoundaryLabel.CONTACT)[0]
+        dv = mesh.vertices[mesh.edges[contact, 1]] - mesh.vertices[mesh.edges[contact, 0]]
         tol = 1e-12 * mesh.domain.diameter
-        nxt = 0
-        for e in range(ne):
-            lab = labels[e]
-            if lab == BoundaryLabel.DIRICHLET:
-                continue
-            if lab == BoundaryLabel.CONTACT:
-                dv = mesh.vertices[mesh.edges[e, 1]] - mesh.vertices[mesh.edges[e, 0]]
-                if abs(dv[1]) <= tol:
-                    axis = 0  # horizontal edge: tangent x, normal y constrained
-                elif abs(dv[0]) <= tol:
-                    axis = 1
-                else:
-                    raise MeshError("contact edges must be axis-aligned")
-                if axis == 0:
-                    dof_x[e] = nxt
-                else:
-                    dof_y[e] = nxt
-                contact_edges.append(e)
-                contact_tangent_dof.append(nxt)
-                contact_tangent_axis.append(axis)
-                nxt += 1
-            else:
-                dof_x[e] = nxt
-                dof_y[e] = nxt + 1
-                nxt += 2
+        horizontal = np.abs(dv[:, 1]) <= tol  # tangent x, normal y constrained
+        if not np.all(horizontal | (np.abs(dv[:, 0]) <= tol)):
+            raise MeshError("contact edges must be axis-aligned")
+        axis = np.where(horizontal, 0, 1)
+        count = np.full(mesh.n_edges, 2, dtype=np.int64)
+        count[labels == BoundaryLabel.DIRICHLET] = 0
+        count[contact] = 1
+        first = np.cumsum(count) - count
+        dof_x = np.where(count == 2, first, -1)
+        dof_y = np.where(count == 2, first + 1, -1)
+        dof_x[contact[axis == 0]] = first[contact[axis == 0]]
+        dof_y[contact[axis == 1]] = first[contact[axis == 1]]
 
         self.mesh = mesh
         self.dof_x = dof_x
         self.dof_y = dof_y
-        self.n_dofs_free = nxt
+        self.n_dofs_free = int(count.sum())
         n_dirichlet = int(np.count_nonzero(labels == BoundaryLabel.DIRICHLET))
-        self.n_dofs_reported = 2 * (ne - n_dirichlet)
-        self.contact_edges = np.array(contact_edges, dtype=np.int64)
-        self.contact_tangent_dof = np.array(contact_tangent_dof, dtype=np.int64)
-        self.contact_tangent_axis = np.array(contact_tangent_axis, dtype=np.int64)
+        self.n_dofs_reported = 2 * (mesh.n_edges - n_dirichlet)
+        self.contact_edges = contact
+        self.contact_tangent_dof = first[contact]
+        self.contact_tangent_axis = axis
 
         te = mesh.tri_edges
         self.local_dofs = np.stack([dof_x[te], dof_y[te]], axis=2)
@@ -134,13 +120,30 @@ class CRSpace:
     def contact_edge_lengths(self) -> np.ndarray:
         return self.mesh.edge_lengths[self.contact_edges]
 
-    def edge_gauss_points(self, e: int) -> np.ndarray:
-        """The two Gauss points on edge e, as a (2, 2) array."""
+    def edge_gauss_points(self, e) -> np.ndarray:
+        """The two Gauss points on edge(s) e: (2, 2), or (len(e), 2, 2)."""
         a = self.mesh.vertices[self.mesh.edges[e, 0]]
         b = self.mesh.vertices[self.mesh.edges[e, 1]]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        return mid[None, :] + GAUSS2[:, None] * half[None, :]
+        return mid[..., None, :] + GAUSS2[:, None] * half[..., None, :]
+
+
+def _jump_traces(space: CRSpace, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed traces of the basis functions of both sides of each edge.
+
+    Returns (phi (k, 2 sides, 2 Gauss points, 3), dofs (k, 2 sides, 3, 2)):
+    the first adjacent triangle counts +, the second -, and the dofs of a
+    missing second triangle are -1.
+    """
+    mesh = space.mesh
+    tris = mesh.edge_tris[edges]
+    present = tris >= 0
+    tris = np.where(present, tris, tris[:, :1])
+    phi = cr_values(mesh.triangle_coords(tris), space.edge_gauss_points(edges)[:, None])
+    phi *= np.array([1.0, -1.0])[:, None, None]
+    dofs = np.where(present[..., None, None], space.local_dofs[tris], -1)
+    return phi, dofs
 
 
 def build_space(mesh: Mesh) -> CRSpace:
@@ -250,26 +253,23 @@ def prolongation_matrix(coarse_space: CRSpace, fine_space: CRSpace):
     if cached is not None and cached[0] is coarse_space:
         return cached[1]
 
-    parent = fine_mesh.parent_map
-    rows, cols, vals = [], [], []
-    for e in range(fine_mesh.n_edges):
-        dofs = (fine_space.dof_x[e], fine_space.dof_y[e])
-        if dofs[0] < 0 and dofs[1] < 0:
-            continue
-        mid = fine_mesh.midpoints[e]
-        parents = {int(parent[t]) for t in fine_mesh.edge_tris[e] if t >= 0}
-        weight = 1.0 / len(parents)
-        for pt in parents:
-            traces = cr_values(coarse_space.mesh.triangle_coords(pt), mid[None, :])[0]
-            for j in range(3):
-                for c in range(2):
-                    src = coarse_space.local_dofs[pt, j, c]
-                    if src < 0 or dofs[c] < 0:
-                        continue
-                    rows.append(dofs[c])
-                    cols.append(src)
-                    vals.append(weight * traces[j])
-    P = sp.coo_matrix((vals, (rows, cols)),
+    # the parents of both adjacent fine triangles; a missing or shared
+    # second parent repeats the first and gets no entries of its own
+    et = fine_mesh.edge_tris
+    p0 = fine_mesh.parent_map[et[:, 0]]
+    p1 = np.where(et[:, 1] >= 0, fine_mesh.parent_map[et[:, 1]], p0)
+    shared = p1 == p0
+    parents = np.stack([p0, p1], axis=1)  # (ne, 2)
+    traces = cr_values(coarse_space.mesh.triangle_coords(parents),
+                       fine_mesh.midpoints[:, None, None, :])[:, :, 0]  # (ne, 2, 3)
+    traces *= np.where(shared, 1.0, 0.5)[:, None, None]
+    cols = coarse_space.local_dofs[parents]  # (ne, 2 parents, 3, 2 comps)
+    cols[shared, 1] = -1
+    rows = np.broadcast_to(
+        np.stack([fine_space.dof_x, fine_space.dof_y], axis=1)[:, None, None, :], cols.shape)
+    vals = np.broadcast_to(traces[..., None], cols.shape)
+    keep = np.minimum(rows, cols) >= 0
+    P = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
                       shape=(fine_space.n_dofs_free, coarse_space.n_dofs_free)).tocsr()
     fine_space._prolongation_cache = (coarse_space, P)
     return P

@@ -61,6 +61,7 @@ class TestElementStiffness:
     def test_random_triangles_against_oracle(self):
         rng = np.random.default_rng(8)
         mat = MaterialModel.from_engineering(200.0, 0.3)
+        batch = []
         for _ in range(5):
             coords = rng.uniform(-1, 1, size=(3, 2))
             d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
@@ -71,6 +72,14 @@ class TestElementStiffness:
             got = element_stiffness(coords, mat)
             want = _oracle_element_matrix(coords, mat)
             assert np.allclose(got, want, rtol=1e-11, atol=1e-10)
+            batch.append(coords)
+        assert len(batch) >= 2
+        # one call on the stacked triangles gives every element matrix
+        stacked = element_stiffness(np.array(batch), mat)
+        assert stacked.shape == (len(batch), 6, 6)
+        for coords, got in zip(batch, stacked):
+            assert np.allclose(got, _oracle_element_matrix(coords, mat),
+                               rtol=1e-11, atol=1e-10)
 
 
 class TestStiffness:

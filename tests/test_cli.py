@@ -19,6 +19,7 @@ from crcontact.cli import (
     write_csv,
 )
 from crcontact.mesh import BoundaryLabel, Domain
+from crcontact.solver import UzawaError
 
 PRESET_INI = """
 [domain]
@@ -184,6 +185,15 @@ class TestConvergenceStudy:
         assert len(lines) == 4
         assert "error" in lines[0] and "order" in lines[0]
         assert lines[1].split()[-1] == "-"
+
+    def test_solver_failure_keeps_diagnostics(self):
+        cfg = dataclasses.replace(example_51_config(), levels=2, eps=1e-30, max_iter=5)
+        with pytest.raises(UzawaError) as exc_info:
+            run_convergence_study(cfg)
+        err = exc_info.value
+        assert str(err).startswith("level 0:")
+        assert err.step == 1
+        assert len(err.history) == 5
 
     def test_max_error_mode_at_least_final(self, small_rows):
         cfg = dataclasses.replace(example_51_config(), levels=2, error_mode="max")

@@ -1,17 +1,10 @@
-"""Constitutive law: Lame conversion, strain and stress maps."""
+"""Constitutive law: Lame conversion and the Voigt elasticity matrix."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crcontact.material import (
-    MaterialError,
-    MaterialModel,
-    SymTensor2,
-    lame_from_engineering,
-    strain,
-    stress,
-)
+from crcontact.material import MaterialError, MaterialModel, lame_from_engineering
 
 
 class TestLameConversion:
@@ -54,67 +47,34 @@ class TestLameConversion:
             MaterialModel.from_engineering(200.0, 0.3, "axisymmetric")
 
 
-class TestStrain:
-    def test_symmetric_input(self):
-        eps = strain([[1.0, 0.0], [0.0, 1.0]])
-        assert (eps.xx, eps.yy, eps.xy) == (1.0, 1.0, 0.0)
+def _tensor_stress(eps, mat):
+    """Hooke's law sigma = lam tr(eps) I + 2 mu eps on a symmetric 2x2 strain."""
+    return mat.lam * np.trace(eps) * np.eye(2) + 2.0 * mat.mu * eps
 
-    def test_simple_shear(self):
-        eps = strain([[0.0, 1.0], [0.0, 0.0]])
-        assert (eps.xx, eps.yy, eps.xy) == (0.0, 0.0, 0.5)
 
-    def test_pure_rotation_is_strain_free(self):
-        eps = strain([[0.0, 1.0], [-1.0, 0.0]])
-        assert (eps.xx, eps.yy, eps.xy) == (0.0, 0.0, 0.0)
+def _voigt(eps):
+    """(eps_xx, eps_yy, 2 eps_xy): the strain vector dmatrix() acts on."""
+    return np.array([eps[0, 0], eps[1, 1], 2.0 * eps[0, 1]])
 
 
 class TestStress:
-    mat = MaterialModel(E=1.0, nu=0.0, lam=1.0, mu=1.0)
+    """dmatrix() is the stress map sigma = D (eps_xx, eps_yy, 2 eps_xy)."""
 
     def test_identity_strain(self):
-        sig = stress(SymTensor2(1.0, 1.0, 0.0), self.mat)
-        assert (sig.xx, sig.yy, sig.xy) == (4.0, 4.0, 0.0)
-
-    def test_zero_strain(self):
-        sig = stress(SymTensor2(0.0, 0.0, 0.0), self.mat)
-        assert (sig.xx, sig.yy, sig.xy) == (0.0, 0.0, 0.0)
+        mat = MaterialModel(E=1.0, nu=0.0, lam=1.0, mu=1.0)
+        assert np.array_equal(mat.dmatrix() @ [1.0, 1.0, 0.0], [4.0, 4.0, 0.0])
 
     def test_shear_decoupled_from_lambda(self):
         mat = MaterialModel(E=1.0, nu=0.0, lam=7.0, mu=3.0)
-        sig = stress(SymTensor2(0.0, 0.0, 1.0), mat)
-        assert (sig.xx, sig.yy, sig.xy) == (0.0, 0.0, 6.0)
-
-    @given(ca=st.floats(-10, 10), cb=st.floats(-10, 10),
-           a=st.lists(st.floats(-5, 5), min_size=3, max_size=3),
-           b=st.lists(st.floats(-5, 5), min_size=3, max_size=3))
-    def test_linearity(self, ca, cb, a, b):
-        mat = MaterialModel(E=200.0, nu=0.3, lam=115.38, mu=76.92)
-        e1 = SymTensor2(*a)
-        e2 = SymTensor2(*b)
-        combo = SymTensor2(ca * e1.xx + cb * e2.xx, ca * e1.yy + cb * e2.yy,
-                           ca * e1.xy + cb * e2.xy)
-        lhs = stress(combo, mat)
-        s1, s2 = stress(e1, mat), stress(e2, mat)
-        for comp in ("xx", "yy", "xy"):
-            want = ca * getattr(s1, comp) + cb * getattr(s2, comp)
-            assert getattr(lhs, comp) == pytest.approx(want, rel=1e-10, abs=1e-9)
+        assert np.array_equal(mat.dmatrix() @ [0.0, 0.0, 2.0], [0.0, 0.0, 6.0])
 
     @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3))
     def test_pointwise_coercivity(self, comps):
         mat = MaterialModel.from_engineering(200.0, 0.3)
-        eps = SymTensor2(*comps)
-        energy = stress(eps, mat).contract(eps)
-        norm2 = eps.contract(eps)
+        eps = np.array([[comps[0], comps[2]], [comps[2], comps[1]]])
+        energy = float(_voigt(eps) @ mat.dmatrix() @ _voigt(eps))
+        norm2 = float(np.sum(eps * eps))
         assert energy >= 2.0 * mat.mu * norm2 - 1e-9 * max(1.0, norm2)
-
-    @pytest.mark.parametrize("grad", [
-        [[0.0, 0.0], [0.0, 0.0]],
-        [[0.0, 0.3], [-0.3, 0.0]],
-    ])
-    def test_rigid_motions_stress_free(self, grad):
-        mat = MaterialModel.from_engineering(200.0, 0.3)
-        sig = stress(strain(grad), mat)
-        assert (sig.xx, sig.yy, sig.xy) == (0.0, 0.0, 0.0)
 
 
 class TestDMatrix:
@@ -122,9 +82,10 @@ class TestDMatrix:
         mat = MaterialModel.from_engineering(200.0, 0.3)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            e = SymTensor2(*rng.standard_normal(3))
-            sig = stress(e, mat)
-            voigt = mat.dmatrix() @ np.array([e.xx, e.yy, 2.0 * e.xy])
-            assert voigt[0] == pytest.approx(sig.xx, rel=1e-13)
-            assert voigt[1] == pytest.approx(sig.yy, rel=1e-13)
-            assert voigt[2] == pytest.approx(sig.xy, rel=1e-13)
+            a, b, c = rng.standard_normal(3)
+            eps = np.array([[a, c], [c, b]])
+            sig = _tensor_stress(eps, mat)
+            voigt = mat.dmatrix() @ _voigt(eps)
+            assert voigt[0] == pytest.approx(sig[0, 0], rel=1e-13)
+            assert voigt[1] == pytest.approx(sig[1, 1], rel=1e-13)
+            assert voigt[2] == pytest.approx(sig[0, 1], rel=1e-13)

@@ -55,6 +55,29 @@ class TestDofLayout:
             assert space2.dof_x[e] == -1
             assert space2.dof_y[e] == -1
 
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_edge_order_of_dofs_and_adjacency(self, domain, level):
+        mesh = generate_structured(domain, 2)
+        for _ in range(level):
+            mesh = refine_uniform(mesh)
+        space = build_space(mesh)
+        # free DOFs run 0..n_free-1 in edge order: two consecutive ones per
+        # ordinary edge, one (the tangential) per contact edge
+        nxt = 0
+        for e, lab in enumerate(mesh.edge_labels):
+            dofs = [d for d in (space.dof_x[e], space.dof_y[e]) if d >= 0]
+            want = {BoundaryLabel.DIRICHLET: 0, BoundaryLabel.CONTACT: 1}.get(lab, 2)
+            assert dofs == list(range(nxt, nxt + want))
+            nxt += want
+        assert nxt == space.n_dofs_free
+        # adjacent triangles are listed in (local edge, triangle) order
+        seen = [[] for _ in range(mesh.n_edges)]
+        for local in range(3):
+            for t in range(mesh.n_triangles):
+                seen[mesh.tri_edges[t, local]].append(t)
+        want = np.array([s + [-1] * (2 - len(s)) for s in seen])
+        assert np.array_equal(mesh.edge_tris, want)
+
     def test_contact_edges_keep_only_tangential(self, mesh2, space2):
         for e, axis in zip(space2.contact_edges, space2.contact_tangent_axis):
             assert axis == 0  # bottom side runs along x
@@ -94,6 +117,12 @@ class TestLocalBasis:
         flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(MeshError):
             cr_gradients(flat)
+        # a stack is rejected when any one of its triangles is clockwise
+        batch = np.array([REF, REF[[0, 2, 1]], REF + 1.0])
+        with pytest.raises(MeshError):
+            cr_gradients(batch)
+        with pytest.raises(MeshError):
+            cr_values(batch, REF_MIDPOINTS)
 
 
 class TestInterpolation:
