@@ -21,14 +21,12 @@ from crcontact.assembly import (
     friction_value,
 )
 from crcontact.solver import (
-    FrictionState,
     TimeGrid,
     TrajectorySolution,
     UzawaConfig,
     UzawaError,
     march,
     projection_P,
-    solve_spd,
     uzawa_step_solve,
 )
 from crcontact.analysis import (
@@ -61,14 +59,12 @@ __all__ = [
     "assemble_stiffness",
     "friction_rhs",
     "friction_value",
-    "FrictionState",
     "TimeGrid",
     "TrajectorySolution",
     "UzawaConfig",
     "UzawaError",
     "march",
     "projection_P",
-    "solve_spd",
     "uzawa_step_solve",
     "EnergyNormBreakdown",
     "brute_force_vi_oracle",

@@ -78,17 +78,18 @@ class LoadSpec:
                 raise AssemblyError(f"time factor must be 'const' or 'linear', got {name!r}")
 
     @staticmethod
-    def _factor(name: str, t: float) -> float:
+    def time_factor(name: str, t: float) -> float:
+        """s(t) of a time-factor name: 1 for 'const', t for 'linear'."""
         return 1.0 if name == "const" else t
 
     def f_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.f, dtype=float) * self._factor(self.f_time, t)
+        return np.asarray(self.f, dtype=float) * self.time_factor(self.f_time, t)
 
     def g_at(self, points: np.ndarray, t: float) -> np.ndarray:
         """Traction values at points (npts, 2), scaled by the time factor."""
         c = np.asarray(self.g_coeffs, dtype=float)  # (2, 3)
         vals = c[:, 0][None, :] + points @ c[:, 1:].T
-        return vals * self._factor(self.g_time, t)
+        return vals * self.time_factor(self.g_time, t)
 
 
 def element_stiffness(coords: np.ndarray, mat: MaterialModel) -> np.ndarray:

@@ -420,6 +420,9 @@ def main(argv=None) -> int:
         return 1
     except (SolverError, UzawaError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        if isinstance(exc, UzawaError):
+            tail = ", ".join(f"{incr:.3e}" for incr in (exc.history or [])[-5:])
+            print(f"  at time step {exc.step}; last increments: {tail}", file=sys.stderr)
         return 2
     return 0
 

@@ -182,11 +182,10 @@ class Mesh:
         self.edge_lengths = np.hypot(dv[:, 0], dv[:, 1])
 
     def _classify_edges(self, edge_labels_by_pair):
-        ne = len(self.edges)
-        labels = np.full(ne, int(BoundaryLabel.INTERIOR), dtype=np.int64)
-        boundary = self.edge_tris[:, 1] < 0
+        labels = np.full(len(self.edges), int(BoundaryLabel.INTERIOR), dtype=np.int64)
+        boundary = np.nonzero(self.edge_tris[:, 1] < 0)[0]
         if edge_labels_by_pair is not None:
-            for e in np.nonzero(boundary)[0]:
+            for e in boundary:
                 key = (int(self.edges[e, 0]), int(self.edges[e, 1]))
                 try:
                     labels[e] = int(edge_labels_by_pair[key])
@@ -195,26 +194,18 @@ class Mesh:
         else:
             dom = self.domain
             tol = 1e-12 * dom.diameter
-            for e in np.nonzero(boundary)[0]:
-                mx, my = self.midpoints[e]
-                if abs(mx - dom.x_min) <= tol:
-                    side, coord = "left", my
-                elif abs(mx - dom.x_max) <= tol:
-                    side, coord = "right", my
-                elif abs(my - dom.y_min) <= tol:
-                    side, coord = "bottom", mx
-                elif abs(my - dom.y_max) <= tol:
-                    side, coord = "top", mx
-                else:
-                    raise MeshError(f"boundary edge midpoint {(mx, my)} is not on the rectangle boundary")
-                label = None
-                for seg in dom.boundary_spec:
-                    if seg.side == side and seg.lo - tol <= coord <= seg.hi + tol:
-                        label = seg.label
-                        break
-                if label is None:
-                    raise MeshError(f"boundary edge at {(mx, my)} on side {side!r} is unlabeled")
-                labels[e] = int(label)
+            side = self.boundary_side(boundary)
+            mx, my = self.midpoints[boundary].T
+            coord = np.where(np.isin(side, ("left", "right")), my, mx)
+            # the first segment of the spec that holds an edge labels it
+            found = np.zeros(len(boundary), dtype=bool)
+            for seg in dom.boundary_spec:
+                hit = ~found & (side == seg.side) & (seg.lo - tol <= coord) & (coord <= seg.hi + tol)
+                labels[boundary[hit]] = int(seg.label)
+                found |= hit
+            if not np.all(found):
+                j = np.argmin(found)
+                raise MeshError(f"boundary edge at {(mx[j], my[j])} on side {side[j]!r} is unlabeled")
         self.edge_labels = labels
 
     # -- queries ---------------------------------------------------------

@@ -1,25 +1,33 @@
 """Backward Euler time marching with an inner Uzawa iteration per step.
 
-Each step solves the frictional variational inequality by alternating a
-sparse SPD solve with a projected multiplier update:
+Each step solves the frictional variational inequality with the Uzawa
+fixed-point iteration on the contact multipliers:
 
-    K u = F(t_n) - friction_rhs(lambda)
+    K u = F(t_n) - c(lambda),  c = S^T diag(g_a h_e) lambda
     lambda <- P(lambda + rho_tilde * g_a * (u - u_prev)_tau / k_n)
 
-with P the clamp onto [-1, 1]. The stiffness factorization is computed
-once per mesh and reused across all steps and inner iterations.
+with P the clamp onto [-1, 1] and S the selection of the tangential
+contact DOFs. The iteration runs in contact space. Once per level, ``march``
+factors K and computes the contact response Z = K^-1 S^T diag(g_a h_e)
+(the Delassus operator of nonsmooth contact dynamics, one solve per
+contact edge) and the responses U_f, U_g to the body-force and traction
+loads, since F(t) = s_f(t) F_f + s_g(t) F_g. A step then starts from
+u = s_f U_f + s_g U_g - Z lambda and each iteration updates
+u <- u - Z (lambda_new - lambda): no sparse solve per step or iteration.
+The final u of every step is checked against K u = F(t_n) - c(lambda_n)
+with the factorization's backward-error test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from crcontact.assembly import DiscreteSystem, LoadSpec, assemble_load
+from crcontact.assembly import DiscreteSystem, LoadSpec, assemble_load, friction_rhs
 from crcontact.space import CRFunction, interpolate_cr
 
 
@@ -62,18 +70,6 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.N + 1)
-
-
-@dataclass
-class FrictionState:
-    """Scalar Lagrange multiplier per contact edge, clamped to [-1, 1]."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        if np.any(np.abs(self.lam) > 1.0 + 1e-12):
-            raise ValueError("multiplier out of [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,10 @@ class SPDFactor:
         self._norm_K = spla.norm(self.K, np.inf) if self.K.nnz else 0.0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = self.lu.solve(rhs)
+        return self.check(self.lu.solve(rhs), rhs)
+
+    def check(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Return x if it solves K x = rhs to the backward-error tolerance."""
         if not np.all(np.isfinite(x)):
             raise SolverError("linear solve produced non-finite values")
         nrhs = np.linalg.norm(rhs)
@@ -139,14 +138,36 @@ class SPDFactor:
         return x
 
 
-def solve_spd(K: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """One-shot direct solve of an SPD system with a residual check."""
-    return SPDFactor(K).solve(np.asarray(rhs, dtype=float))
-
-
 def projection_P(chi):
     """Clamp onto [-1, 1]: P(chi) = sup(-1, inf(1, chi))."""
     return np.clip(chi, -1.0, 1.0)
+
+
+def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """Z = K^-1 S^T diag(weights), one guarded solve per contact DOF (n x m)."""
+    n = factor.K.shape[0]
+    Z = np.empty((n, len(tangent_idx)))
+    rhs = np.zeros(n)
+    for j, (i, w) in enumerate(zip(tangent_idx, weights)):
+        rhs[i] = w
+        Z[:, j] = factor.solve(rhs)
+        rhs[i] = 0.0
+    return Z
+
+
+def _optimal_rho(Z_tau: np.ndarray, weights: np.ndarray, g_a: float, k_n: float) -> float:
+    """rho_tilde minimizing the spectral radius of I - rho_tilde*(g_a/k_n)*M.
+
+    ``Z_tau`` holds the contact rows of Z, i.e. the Schur complement M.
+    """
+    # symmetrize in the W^(1/2)-weighted sense before taking eigenvalues
+    s = np.sqrt(weights)
+    Msym = (Z_tau * s[None, :]) / s[:, None]
+    eigs = np.linalg.eigvalsh(0.5 * (Msym + Msym.T))
+    if eigs[0] <= 0:
+        raise SolverError("contact Schur complement is not positive definite")
+    return 2.0 * k_n / (g_a * (eigs[0] + eigs[-1]))
 
 
 def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
@@ -159,57 +180,38 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
     rho_tilde = k_n / (g_a * max eig M) keeps the spectrum in [0, 1).
     """
     idx = system.contact_tangent_dof
-    m = len(idx)
-    if m == 0 or g_a == 0.0:
+    if len(idx) == 0 or g_a == 0.0:
         return 1.0
     if factor is None:
         factor = SPDFactor(system.K)
-    n = system.K.shape[0]
     w = g_a * system.contact_weights
-    M = np.empty((m, m))
-    for j in range(m):
-        rhs = np.zeros(n)
-        rhs[idx[j]] = w[j]
-        M[:, j] = factor.solve(rhs)[idx]
-    # symmetrize in the W^(1/2)-weighted sense before taking eigenvalues
-    s = np.sqrt(w)
-    Msym = (M * s[None, :]) / s[:, None]
-    eigs = np.linalg.eigvalsh(0.5 * (Msym + Msym.T))
-    if eigs[0] <= 0:
-        raise SolverError("contact Schur complement is not positive definite")
-    # minimize the spectral radius of I - rho_tilde*(g_a/k)*M
-    return 2.0 * k_n / (g_a * (eigs[0] + eigs[-1]))
+    return _optimal_rho(_contact_response(factor, idx, w)[idx], w, g_a, k_n)
 
 
-def uzawa_iterate(factor: SPDFactor, load: np.ndarray, tangent_idx: np.ndarray,
-                  g_a: float, edge_weights: np.ndarray, prev_tau: np.ndarray,
-                  k_n: float, rho_tilde: float, eps: float, max_iter: int,
-                  lam0: Optional[np.ndarray] = None):
-    """Array-level Uzawa loop on an arbitrary SPD system.
+def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, tangent_idx: np.ndarray,
+                  g_a: float, prev_tau: np.ndarray, k_n: float, rho_tilde: float,
+                  eps: float, max_iter: int, lam0: Optional[np.ndarray] = None):
+    """Array-level Uzawa loop in contact space.
 
-    Alternates K u = load - c(lambda) with c_i = g_a * w_i * lambda_i on the
-    tangential rows, and lambda <- P(lambda + rho_tilde * g_a * velocity),
-    starting from lambda = P(lam0), or zero when lam0 is None.
+    With u_base = K^-1 F and Z = K^-1 S^T diag(g_a w), u = u_base - Z lambda
+    solves K u = F - c(lambda), c_i = g_a * w_i * lambda_i on the tangential
+    rows. Each iteration sets lambda <- P(lambda + rho_tilde * g_a * velocity)
+    and u <- u - Z dlambda, and stops when the increment |Z dlambda|_inf drops
+    below eps. Starts from lambda = P(lam0), or zero when lam0 is None.
     Returns (u, lambda, iterations, increment history).
     """
-    n = factor.K.shape[0]
-    m = len(tangent_idx)
-    lam = np.zeros(m) if lam0 is None else projection_P(np.asarray(lam0, dtype=float))
-    coupling = np.zeros(n)
-
-    def solve_with(lam):
-        coupling[tangent_idx] = g_a * edge_weights * lam
-        return factor.solve(load - coupling)
-
-    u = solve_with(lam)
+    lam = (np.zeros(Z.shape[1]) if lam0 is None
+           else projection_P(np.asarray(lam0, dtype=float)))
+    u = u_base - Z @ lam
     history = []
     for it in range(1, max_iter + 1):
         vel_tau = (u[tangent_idx] - prev_tau) / k_n
-        lam = projection_P(lam + rho_tilde * g_a * vel_tau)
-        u_new = solve_with(lam)
-        incr = float(np.max(np.abs(u_new - u)))
+        lam_new = projection_P(lam + rho_tilde * g_a * vel_tau)
+        du = Z @ (lam_new - lam)
+        u = u - du
+        lam = lam_new
+        incr = float(np.max(np.abs(du)))
         history.append(incr)
-        u = u_new
         if incr < eps:
             return u, lam, it, history
     raise UzawaError(
@@ -218,42 +220,45 @@ def uzawa_iterate(factor: SPDFactor, load: np.ndarray, tangent_idx: np.ndarray,
         last_u=u, last_lam=lam, history=history)
 
 
-def uzawa_step_solve(system: DiscreteSystem, load_n: np.ndarray, u_prev: CRFunction,
-                     k_n: float, cfg: UzawaConfig, g_a: float,
-                     lam0: Optional[np.ndarray] = None,
-                     factor: Optional[SPDFactor] = None):
+def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.ndarray],
+                     u_prev: CRFunction, k_n: float, cfg: UzawaConfig, g_a: float,
+                     lam0: Optional[np.ndarray] = None):
     """One backward-Euler step solved by the Uzawa fixed-point iteration.
 
-    Returns (u, FrictionState, iterations). The multiplier update uses the
-    tangential backward-difference velocity (u - u_prev)_tau / k_n, and the
-    iteration stops when the max-norm of successive displacement iterates
-    drops below cfg.eps. ``lam0`` warm-starts the multiplier.
+    ``u_base`` = K^-1 F(t_n) and ``Z`` = K^-1 S^T diag(g_a h_e) (unused, and
+    may be None, without contact or friction). Returns (u, multipliers,
+    iterations). The multiplier update uses the tangential backward-difference
+    velocity (u - u_prev)_tau / k_n, and the iteration stops when the
+    max-norm of successive displacement iterates drops below cfg.eps.
+    ``lam0`` warm-starts the multiplier; ``cfg.rho_tilde`` must be a number
+    (``march`` resolves 'auto').
     """
     space = system.space
-    if factor is None:
-        factor = SPDFactor(system.K)
     m = len(space.contact_edges)
-
     if m == 0 or g_a == 0.0:
-        u = factor.solve(load_n)
-        return CRFunction(space, u), FrictionState(np.zeros(m)), 1
-
-    rho_tilde = (stable_rho_tilde(system, g_a, k_n, factor)
-                 if cfg.rho_tilde == "auto" else float(cfg.rho_tilde))
-
+        return CRFunction(space, u_base), np.zeros(m), 1
+    if isinstance(cfg.rho_tilde, str):
+        raise ValueError("rho_tilde='auto' must be resolved before the step (see march)")
     idx = space.contact_tangent_dof
-    u, lam, it, _ = uzawa_iterate(factor, load_n, idx, g_a, system.contact_weights,
-                                  u_prev.coeffs[idx], k_n, rho_tilde, cfg.eps,
-                                  cfg.max_iter, lam0=lam0)
-    return CRFunction(space, u), FrictionState(lam), it
+    u, lam, it, _ = uzawa_iterate(u_base, Z, idx, g_a, u_prev.coeffs[idx], k_n,
+                                  cfg.rho_tilde, cfg.eps, cfg.max_iter, lam0=lam0)
+    return CRFunction(space, u), lam, it
+
+
+def _load_parts(space, loads: LoadSpec):
+    """(F_f, F_g): body-force and traction loads with unit time factors."""
+    body = replace(loads, g_coeffs=((0.0,) * 3, (0.0,) * 3), f_time="const")
+    traction = replace(loads, f=(0.0, 0.0), g_time="const")
+    return assemble_load(space, body, 0.0), assemble_load(space, traction, 0.0)
 
 
 def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
           cfg: UzawaConfig, log: Optional[Callable[[str], None]] = None) -> TrajectorySolution:
     """Backward-Euler marching over the whole time grid.
 
-    The multiplier is warm-started from the previous step; the stiffness
-    factorization is computed once and reused.
+    The multiplier is warm-started from the previous step. A level costs
+    one factorization and m + 2 solves (contact response Z, load responses
+    U_f and U_g); each step's u is checked against K u = F(t_n) - c(lambda_n).
     """
     space = system.space
     if loads.u0 is None:
@@ -261,28 +266,34 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     else:
         u = interpolate_cr(loads.u0, space)
     factor = SPDFactor(system.K)
-    if cfg.rho_tilde == "auto":
-        # uniform k: the stable step is the same for every time step
-        from dataclasses import replace
-        cfg = replace(cfg, rho_tilde=stable_rho_tilde(system, loads.g_a, grid.k, factor))
+    idx = system.contact_tangent_dof
+    m = len(idx)
+    k = grid.k
+    Z = None
+    if m and loads.g_a != 0.0:
+        w = loads.g_a * system.contact_weights
+        Z = _contact_response(factor, idx, w)
+        if cfg.rho_tilde == "auto":
+            # uniform k: the stable step is the same for every time step
+            cfg = replace(cfg, rho_tilde=_optimal_rho(Z[idx], w, loads.g_a, k))
+    F_f, F_g = _load_parts(space, loads)
+    U_f, U_g = factor.solve(F_f), factor.solve(F_g)
 
-    m = len(space.contact_edges)
     lam = np.zeros(m)
     displacements = [u]
-    multipliers = [lam.copy()]
+    multipliers = [lam]
     iters = []
-    k = grid.k
     for n, t_n in enumerate(grid.nodes[1:], start=1):
-        load_n = assemble_load(space, loads, t_n)
+        s_f, s_g = (LoadSpec.time_factor(name, t_n) for name in (loads.f_time, loads.g_time))
         try:
-            u, state, it = uzawa_step_solve(system, load_n, u, k, cfg, loads.g_a,
-                                            lam0=lam, factor=factor)
+            u, lam, it = uzawa_step_solve(system, s_f * U_f + s_g * U_g, Z, u, k, cfg,
+                                          loads.g_a, lam0=lam)
         except UzawaError as exc:
             exc.step = n
             raise
-        lam = state.lam
+        factor.check(u.coeffs, s_f * F_f + s_g * F_g - friction_rhs(space, loads.g_a, lam))
         displacements.append(u)
-        multipliers.append(lam.copy())
+        multipliers.append(lam)
         iters.append(it)
         if log is not None:
             log(f"step {n}: t={t_n:.6g} uzawa_iters={it}")

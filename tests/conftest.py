@@ -1,5 +1,7 @@
 """Shared fixtures: reference domain, meshes, spaces and material."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from crcontact.assembly import assemble_stiffness
 from crcontact.cli import example_51_config
 from crcontact.material import MaterialModel
 from crcontact.mesh import generate_structured, refine_uniform
+from crcontact.solver import SPDFactor, _contact_response, stable_rho_tilde, uzawa_step_solve
 from crcontact.space import CRFunction, build_space
 
 
@@ -59,3 +62,17 @@ def refined2(mesh2):
 def random_cr(space, rng, scale=1.0):
     """A CR function with independent standard-normal coefficients."""
     return CRFunction(space, scale * rng.standard_normal(space.n_dofs_free))
+
+
+def step_from_load(system, load, u_prev, k_n, cfg, g_a, factor=None):
+    """``uzawa_step_solve`` on a load vector, set up as ``march`` does it.
+
+    Resolves rho_tilde='auto' and passes u_base = K^-1 load and the contact
+    response Z.
+    """
+    factor = SPDFactor(system.K) if factor is None else factor
+    idx = system.contact_tangent_dof
+    Z = _contact_response(factor, idx, g_a * system.contact_weights) if g_a else None
+    if cfg.rho_tilde == "auto":
+        cfg = dataclasses.replace(cfg, rho_tilde=stable_rho_tilde(system, g_a, k_n, factor))
+    return uzawa_step_solve(system, factor.solve(load), Z, u_prev, k_n, cfg, g_a)

@@ -51,13 +51,12 @@ from crcontact.solver import (
     SPDFactor,
     TimeGrid,
     UzawaConfig,
+    _contact_response,
     march,
-    solve_spd,
     uzawa_iterate,
-    uzawa_step_solve,
 )
 from crcontact.space import CRFunction, build_space, interpolate_cr
-from conftest import random_cr
+from conftest import random_cr, step_from_load
 
 
 def report(num: int, ok: bool, detail: str):
@@ -173,8 +172,8 @@ def test_criterion_5_oracle_equivalence(small_problem):
     u_prev = CRFunction.zero(space)
     for n in range(1, 6):
         load = assemble_load(space, cfg.loads, n * k)
-        u, _, _ = uzawa_step_solve(system, load, u_prev, k, ucfg, g_a,
-                                   factor=factor)
+        u, _, _ = step_from_load(system, load, u_prev, k, ucfg, g_a,
+                                 factor=factor)
         ref = brute_force_vi_oracle(system, load, u_prev, k, g_a, tol=1e-12)
         err = energy_norm(u - ref, mat, rho).total
         scale = max(energy_norm(ref, mat, rho).total, 1e-30)
@@ -204,8 +203,9 @@ def test_criterion_5_oracle_equivalence(small_problem):
             rho_tilde = 2.0 * kk / (g * (eigs[0] + eigs[-1]))
         else:
             rho_tilde = 1.0
-        u, _, _, _ = uzawa_iterate(SPDFactor(K), F, idx, g, w, prev, kk,
-                                   rho_tilde, 1e-12, 100000)
+        factor = SPDFactor(K)
+        u, _, _, _ = uzawa_iterate(factor.solve(F), _contact_response(factor, idx, g * w),
+                                   idx, g, prev, kk, rho_tilde, 1e-12, 100000)
         diff = u - ref
         worst_rand = max(worst_rand, float(np.sqrt(diff @ (K @ diff))))
     rand_ok = worst_rand <= 1e-6
@@ -349,7 +349,7 @@ def test_criterion_10_frictionless_reduction(small_problem):
     traj = march(system, loads, grid, UzawaConfig(rho_tilde=1.0))
     worst = 0.0
     for n, t_n in enumerate(grid.nodes[1:], start=1):
-        direct = solve_spd(system.K, assemble_load(space, loads, t_n))
+        direct = SPDFactor(system.K).solve(assemble_load(space, loads, t_n))
         worst = max(worst, float(np.max(np.abs(traj.displacements[n].coeffs - direct))))
         assert np.all(traj.multipliers[n] == 0.0)
     report(10, worst <= 1e-9,

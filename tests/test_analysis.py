@@ -20,7 +20,7 @@ from crcontact.mesh import (
     Domain,
     generate_structured,
 )
-from crcontact.solver import SPDFactor, uzawa_iterate
+from crcontact.solver import SPDFactor, _contact_response, uzawa_iterate
 from crcontact.space import CRFunction, build_space, interpolate_cr, prolongate
 from conftest import random_cr
 
@@ -129,11 +129,10 @@ class TestOracle:
 
     def test_frictionless_matches_direct_solve(self, system2, space2, config):
         from crcontact.assembly import assemble_load
-        from crcontact.solver import solve_spd
         load = assemble_load(space2, config.loads, 1.0)
         u = brute_force_vi_oracle(system2, load, CRFunction.zero(space2),
                                   0.025, g_a=0.0)
-        direct = solve_spd(system2.K, load)
+        direct = SPDFactor(system2.K).solve(load)
         assert np.max(np.abs(u.coeffs - direct)) <= 1e-9
 
     def test_rejects_large_systems(self, system2, space2, config):
@@ -169,8 +168,9 @@ class TestOracle:
                 rho_tilde = 2.0 * k / (g_a * (eigs[0] + eigs[-1]))
             else:
                 rho_tilde = 1.0
-            u, lam, _, _ = uzawa_iterate(SPDFactor(K), F, idx, g_a, w, prev,
-                                         k, rho_tilde, 1e-12, 100000)
+            factor = SPDFactor(K)
+            u, lam, _, _ = uzawa_iterate(factor.solve(F), _contact_response(factor, idx, g_a * w),
+                                         idx, g_a, prev, k, rho_tilde, 1e-12, 100000)
             diff = u - u_ref.ravel() if hasattr(u_ref, "ravel") else u - u_ref
             err = float(np.sqrt(diff @ (K @ diff)))
             scale = float(np.sqrt(u_ref @ (K @ u_ref)))

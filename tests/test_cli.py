@@ -229,7 +229,12 @@ class TestMain:
         text = PRESET_INI.replace("eps = 1e-8", "eps = 1e-30\nmax_iter = 5")
         ini = write_ini(tmp_path, text)
         assert main(["study", "--config", ini]) == 2
-        assert "solver failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        # the step and the tail of the increment history are reported
+        assert "at time step 1;" in err
+        tail = err.split("last increments:")[1].split(",")
+        assert len(tail) == 5 and all(float(x) > 0 for x in tail)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):

@@ -76,6 +76,21 @@ class TestGenerateStructured:
         for e in np.nonzero(labels == BoundaryLabel.CONTACT)[0]:
             assert mesh2.boundary_side(e) == "bottom"
 
+    def test_first_listed_segment_wins(self):
+        # (0, 2) Dirichlet is listed before (0, 4) contact on the bottom
+        segs = (
+            BoundarySegment("bottom", 0.0, 2.0, BoundaryLabel.DIRICHLET),
+            BoundarySegment("bottom", 0.0, 4.0, BoundaryLabel.CONTACT),
+            BoundarySegment("right", 0.0, 4.0, BoundaryLabel.DIRICHLET),
+            BoundarySegment("left", 0.0, 4.0, BoundaryLabel.NEUMANN),
+            BoundarySegment("top", 0.0, 4.0, BoundaryLabel.NEUMANN),
+        )
+        m = generate_structured(Domain(0.0, 4.0, 0.0, 4.0, segs), 4)
+        bottom = np.nonzero((m.edge_tris[:, 1] < 0) & (m.midpoints[:, 1] == 0.0))[0]
+        x = m.midpoints[bottom, 0]
+        expected = np.where(x < 2.0, BoundaryLabel.DIRICHLET, BoundaryLabel.CONTACT)
+        assert np.array_equal(m.edge_labels[bottom], expected)
+
     def test_rejects_zero_subdivisions(self, domain):
         with pytest.raises(MeshError):
             generate_structured(domain, 0)

@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from crcontact.analysis import brute_force_vi_oracle, energy_norm
-from crcontact.assembly import assemble_load
+from crcontact.assembly import assemble_load, assemble_stiffness
+from crcontact.cli import build_meshes
 from crcontact.solver import (
-    FrictionState,
     SolverError,
     SPDFactor,
     TimeGrid,
@@ -17,12 +17,11 @@ from crcontact.solver import (
     UzawaError,
     march,
     projection_P,
-    solve_spd,
     stable_rho_tilde,
     uzawa_step_solve,
 )
-from crcontact.space import CRFunction
-from conftest import random_cr
+from crcontact.space import CRFunction, build_space
+from conftest import random_cr, step_from_load
 
 
 def random_spd(rng, n):
@@ -54,12 +53,6 @@ class TestProjection:
         assert np.array_equal(out, [-1.0, 0.0, 1.0])
 
 
-class TestFrictionState:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            FrictionState(np.array([1.1]))
-
-
 class TestUzawaConfig:
     def test_auto_accepted(self):
         UzawaConfig(rho_tilde="auto")
@@ -76,63 +69,85 @@ class TestUzawaConfig:
 class TestSolveSPD:
     def test_identity(self):
         rhs = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(solve_spd(sp.eye(3, format="csr"), rhs), rhs)
+        assert np.allclose(SPDFactor(sp.eye(3, format="csr")).solve(rhs), rhs)
 
     def test_random_consistency(self):
         rng = np.random.default_rng(0)
         K = random_spd(rng, 10)
         x_star = rng.standard_normal(10)
-        x = solve_spd(K, K @ x_star)
+        x = SPDFactor(K).solve(K @ x_star)
         assert np.allclose(x, x_star, rtol=1e-10, atol=1e-12)
 
     def test_zero_rhs(self, system2):
-        x = solve_spd(system2.K, np.zeros(system2.K.shape[0]))
+        x = SPDFactor(system2.K).solve(np.zeros(system2.K.shape[0]))
         assert np.all(x == 0.0)
 
     def test_singular_matrix_rejected(self):
         K = sp.csr_matrix(np.zeros((3, 3)))
         with pytest.raises(SolverError):
-            solve_spd(K, np.ones(3))
+            SPDFactor(K).solve(np.ones(3))
+
+    def test_check_rejects_perturbed_solution(self):
+        rng = np.random.default_rng(1)
+        K = random_spd(rng, 10)
+        factor = SPDFactor(K)
+        rhs = rng.standard_normal(10)
+        x = factor.solve(rhs)
+        assert factor.check(x, rhs) is x
+        bad = x.copy()
+        bad[3] *= 1.0 + 1e-6
+        with pytest.raises(SolverError):
+            factor.check(bad, rhs)
+        bad[3] = np.nan
+        with pytest.raises(SolverError):
+            factor.check(bad, rhs)
 
 
 class TestUzawaStep:
     def test_zero_loads_fixed_point(self, system2, space2, config):
         cfg = UzawaConfig(rho_tilde=1.0)
-        u, state, it = uzawa_step_solve(system2, np.zeros(space2.n_dofs_free),
-                                        CRFunction.zero(space2), 0.025, cfg,
-                                        config.loads.g_a)
+        u, lam, it = step_from_load(system2, np.zeros(space2.n_dofs_free),
+                                    CRFunction.zero(space2), 0.025, cfg,
+                                    config.loads.g_a)
         assert it == 1
         assert np.all(u.coeffs == 0.0)
-        assert np.all(state.lam == 0.0)
+        assert np.all(lam == 0.0)
 
     def test_frictionless_matches_linear_solve(self, system2, space2, config):
         load = assemble_load(space2, config.loads, 1.0)
         cfg = UzawaConfig(rho_tilde=1.0)
-        u, state, it = uzawa_step_solve(system2, load, CRFunction.zero(space2),
-                                        0.025, cfg, g_a=0.0)
-        direct = solve_spd(system2.K, load)
+        u, lam, it = step_from_load(system2, load, CRFunction.zero(space2),
+                                    0.025, cfg, g_a=0.0)
+        direct = SPDFactor(system2.K).solve(load)
         assert np.max(np.abs(u.coeffs - direct)) <= 1e-9 * max(1, np.max(np.abs(direct)))
-        assert np.all(state.lam == 0.0)
+        assert np.all(lam == 0.0)
 
     def test_first_step_matches_oracle(self, system2, space2, material, config):
         k = 0.025
         load = assemble_load(space2, config.loads, k)
         cfg = UzawaConfig(rho_tilde="auto", eps=1e-12)
-        u, state, _ = uzawa_step_solve(system2, load, CRFunction.zero(space2),
-                                       k, cfg, config.loads.g_a)
+        u, lam, _ = step_from_load(system2, load, CRFunction.zero(space2),
+                                   k, cfg, config.loads.g_a)
         ref = brute_force_vi_oracle(system2, load, CRFunction.zero(space2), k,
                                     config.loads.g_a, tol=1e-12)
         err = energy_norm(u - ref, material, config.rho).total
         scale = energy_norm(ref, material, config.rho).total
         assert err <= 1e-6 * scale
-        assert np.max(np.abs(state.lam)) <= 1.0
+        assert np.max(np.abs(lam)) <= 1.0
+
+    def test_unresolved_auto_rho_tilde_rejected(self, system2, space2, config):
+        n = space2.n_dofs_free
+        with pytest.raises(ValueError):
+            uzawa_step_solve(system2, np.zeros(n), np.zeros((n, len(space2.contact_edges))),
+                             CRFunction.zero(space2), 0.025, UzawaConfig(rho_tilde="auto"),
+                             config.loads.g_a)
 
     def test_max_iter_exceeded_carries_state(self, system2, space2, config):
         load = assemble_load(space2, config.loads, 1.0)
         cfg = UzawaConfig(rho_tilde=1.0, eps=1e-14, max_iter=3)
         with pytest.raises(UzawaError) as exc_info:
-            uzawa_step_solve(system2, load, CRFunction.zero(space2), 0.025,
-                             cfg, config.loads.g_a)
+            step_from_load(system2, load, CRFunction.zero(space2), 0.025,
+                           cfg, config.loads.g_a)
         err = exc_info.value
         assert err.last_u is not None
         assert err.last_lam is not None
@@ -146,8 +161,8 @@ class TestUzawaStep:
         results = []
         for rho_tilde in (0.5 * auto, auto):
             cfg = UzawaConfig(rho_tilde=rho_tilde, eps=1e-13, max_iter=100000)
-            u, _, _ = uzawa_step_solve(system2, load, CRFunction.zero(space2),
-                                       k, cfg, config.loads.g_a)
+            u, _, _ = step_from_load(system2, load, CRFunction.zero(space2),
+                                     k, cfg, config.loads.g_a)
             results.append(u)
         diff = energy_norm(results[0] - results[1], material, config.rho).total
         scale = energy_norm(results[1], material, config.rho).total
@@ -232,3 +247,49 @@ class TestMarch:
                 residual = a_term + j_v - j_du - l_term
                 scale = abs(a_term) + j_v + j_du + abs(l_term)
                 assert residual >= -1e-6 * scale
+
+
+def n_space_march(system, loads, grid, cfg):
+    """The former march, as a reference: one guarded solve per Uzawa iteration."""
+    factor = SPDFactor(system.K)
+    idx, w = system.contact_tangent_dof, loads.g_a * system.contact_weights
+    rho_tilde = stable_rho_tilde(system, loads.g_a, grid.k, factor)
+    u, lam = np.zeros(system.K.shape[0]), np.zeros(len(idx))
+    us, iters = [u], []
+    for t_n in grid.nodes[1:]:
+        load, prev, coupling = assemble_load(system.space, loads, t_n), u[idx], np.zeros_like(u)
+
+        def solve(lam):
+            coupling[idx] = w * lam
+            return factor.solve(load - coupling)
+
+        u = solve(lam)
+        for it in range(1, cfg.max_iter + 1):
+            lam = projection_P(lam + rho_tilde * loads.g_a * (u[idx] - prev) / grid.k)
+            u_new = solve(lam)
+            incr, u = np.max(np.abs(u_new - u)), u_new
+            if incr < cfg.eps:
+                break
+        us.append(u)
+        iters.append(it)
+    return us, iters
+
+
+class TestContactSpaceMarch:
+    """``march`` iterates in contact space; it must reproduce the n-space loop."""
+
+    @pytest.mark.parametrize("change", [
+        {},  # the preset: slip at T
+        {"g_a": 0.12},  # stick at T
+        {"f": (0.05, -0.02), "f_time": "linear", "g_time": "const"},  # both load parts
+    ], ids=["preset", "stick", "body-force"])
+    def test_matches_n_space_loop_on_level_2(self, config, change):
+        loads = dataclasses.replace(config.loads, **change)
+        space = build_space(build_meshes(config, 3)[-1])
+        system = assemble_stiffness(space, config.material, config.rho)
+        grid = TimeGrid(T=config.T, N=config.N * 4)
+        traj = march(system, loads, grid, config.uzawa)
+        ref_u, ref_iters = n_space_march(system, loads, grid, config.uzawa)
+        assert traj.uzawa_iters == ref_iters
+        u = np.array([v.coeffs for v in traj.displacements])
+        assert np.max(np.abs(u - np.array(ref_u))) <= 1e-12 * np.max(np.abs(u))
