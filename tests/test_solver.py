@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from crcontact.analysis import brute_force_vi_oracle, energy_norm
 from crcontact.assembly import assemble_load, assemble_stiffness
@@ -15,6 +16,7 @@ from crcontact.solver import (
     TimeGrid,
     UzawaConfig,
     UzawaError,
+    _contact_response,
     march,
     projection_P,
     stable_rho_tilde,
@@ -102,6 +104,28 @@ class TestSolveSPD:
         with pytest.raises(SolverError):
             factor.check(bad, rhs)
 
+    @staticmethod
+    def scaled_block(seed):
+        """A factor and 20 right-hand sides whose scales span 1 to 1e6."""
+        rng = np.random.default_rng(seed)
+        factor = SPDFactor(random_spd(rng, 30))
+        return factor, rng.standard_normal((30, 20)) * np.logspace(0, 6, 20)
+
+    def test_block_guard_is_per_column(self):
+        factor, rhs = self.scaled_block(2)
+        x = factor.solve(rhs)
+        bad = x.copy()
+        bad[:, 0] *= 1.0 + 1e-6  # hidden under a Frobenius-norm test of the block
+        with pytest.raises(SolverError):
+            factor.check(bad, rhs)
+
+    def test_block_solve_matches_columns(self):
+        factor, rhs = self.scaled_block(3)
+        assert factor.solve(rhs[:, 0]).shape == (30,)
+        x = factor.solve(rhs)
+        cols = np.column_stack([factor.solve(b) for b in rhs.T])
+        assert np.all(np.max(np.abs(x - cols), axis=0) <= 1e-13 * np.max(np.abs(cols), axis=0))
+
 
 class TestUzawaStep:
     def test_zero_loads_fixed_point(self, system2, space2, config):
@@ -178,6 +202,43 @@ class TestStableRhoTilde:
 
     def test_trivial_without_contact(self, system2):
         assert stable_rho_tilde(system2, 0.0, 0.025) == 1.0
+
+
+class TestSymmetricFactor:
+    """Symmetric-mode SuperLU: the default ordering's contact response, less fill."""
+
+    @staticmethod
+    def level(config, level):
+        space = build_space(build_meshes(config, level + 1)[-1])
+        return assemble_stiffness(space, config.material, config.rho)
+
+    def test_same_contact_response_and_rho_tilde(self, config):
+        system = self.level(config, 3)
+        idx, g_a = system.contact_tangent_dof, config.loads.g_a
+        w = g_a * system.contact_weights
+        lu = spla.splu(system.K.tocsc())  # default ordering, one column at a time
+        ref = np.zeros((system.K.shape[0], len(idx)))
+        for j, (i, w_i) in enumerate(zip(idx, w)):
+            e = np.zeros(system.K.shape[0])
+            e[i] = w_i
+            ref[:, j] = lu.solve(e)
+        factor = SPDFactor(system.K)
+        Z = _contact_response(factor, idx, w)
+        assert np.max(np.abs(Z - ref)) <= 1e-10 * np.max(np.abs(ref))
+        # 37 columns: one full block and a partial one
+        tiled = np.concatenate([idx, idx, idx[:5]])
+        Z37 = _contact_response(factor, tiled, np.concatenate([w, w, w[:5]]))
+        ref37 = np.hstack([ref, ref, ref[:, :5]])
+        assert np.max(np.abs(Z37 - ref37)) <= 1e-10 * np.max(np.abs(ref))
+        k = config.T / (config.N * 2**3)
+        eigs = np.linalg.eigvals(ref[idx]).real  # M = S K^-1 S^T W is similar to SPD
+        rho_ref = 2.0 * k / (g_a * (eigs.min() + eigs.max()))
+        assert stable_rho_tilde(system, g_a, k) == pytest.approx(rho_ref, rel=1e-10)
+
+    def test_less_fill_than_default_ordering(self, config):
+        K = self.level(config, 4).K
+        lu, default = SPDFactor(K).lu, spla.splu(K.tocsc())
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
 
 
 class TestMarch:
