@@ -19,7 +19,7 @@ import numpy as np
 
 from crcontact.analysis import ConvergenceRow, inter_mesh_error
 from crcontact.assembly import LoadSpec, assemble_stiffness
-from crcontact.material import MaterialError, MaterialModel
+from crcontact.material import MaterialModel
 from crcontact.mesh import (
     BoundaryLabel,
     BoundarySegment,
@@ -64,30 +64,24 @@ class ProblemConfig:
     error_mode: str = "final"  # or "max" over shared time nodes
 
     def __post_init__(self):
+        # the time grid, the Uzawa parameters and the material state their
+        # own rules; only the rules of this config are checked here
         problems = []
-        if self.T <= 0:
-            problems.append("study: T must be positive")
-        if self.N < 1:
-            problems.append("study: N must be at least 1")
+        for section, build in (("study", lambda: TimeGrid(self.T, self.N)),
+                               ("solver", lambda: self.uzawa),
+                               ("material", lambda: self.material)):
+            try:
+                build()
+            except ValueError as exc:
+                problems.append(f"{section}: {exc}")
         if self.n < 1:
             problems.append("study: n must be at least 1")
         if self.levels < 1:
             problems.append("study: levels must be at least 1")
-        if self.rho <= 0:
-            problems.append("solver: rho must be positive")
-        if self.eps <= 0:
-            problems.append("solver: eps must be positive")
-        if self.max_iter < 1:
-            problems.append("solver: max_iter must be at least 1")
-        if not (isinstance(self.rho_tilde, str) and self.rho_tilde == "auto") \
-                and not (isinstance(self.rho_tilde, (int, float)) and self.rho_tilde > 0):
-            problems.append("solver: rho_tilde must be positive or 'auto'")
         if self.error_mode not in ("final", "max"):
             problems.append("study: error_mode must be 'final' or 'max'")
-        try:
-            MaterialModel.from_engineering(self.E, self.nu, self.plane)
-        except MaterialError as exc:
-            problems.append(f"material: {exc}")
+        if self.rho <= 0:
+            problems.append("solver: rho must be positive")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -197,9 +191,6 @@ def load_config(path: str) -> ProblemConfig:
     except ValueError as exc:
         raise ConfigError(f"loads: {exc}") from exc
 
-    rho_tilde_raw = fetch("solver", "rho_tilde", str, default="auto")
-    rho_tilde = "auto" if rho_tilde_raw == "auto" else float(rho_tilde_raw)
-
     return ProblemConfig(
         domain=domain,
         E=fetch("material", "E", float),
@@ -211,7 +202,8 @@ def load_config(path: str) -> ProblemConfig:
         n=fetch("study", "n", int),
         levels=fetch("study", "levels", int, default=1),
         rho=fetch("solver", "rho", float, default=10.0),
-        rho_tilde=rho_tilde,
+        rho_tilde=fetch("solver", "rho_tilde", lambda r: r if r == "auto" else float(r),
+                        default="auto"),
         eps=fetch("solver", "eps", float, default=1e-8),
         max_iter=fetch("solver", "max_iter", int, default=10000),
         error_mode=fetch("study", "error_mode", str, default="final"),
@@ -281,7 +273,7 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
         raise ConfigError("study: need at least 2 levels for a convergence study")
     meshes = build_meshes(config, config.levels)
     mat = config.material
-    solutions = []
+    previous = None  # each error compares two successive levels: keep only the last
     rows: list[ConvergenceRow] = []
     side = config.domain.x_max - config.domain.x_min
     for level, mesh in enumerate(meshes):
@@ -290,10 +282,10 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
         except (SolverError, UzawaError) as exc:
             exc.args = (f"level {level}: {exc}",) + exc.args[1:]
             raise
-        solutions.append(traj)
         error = None
-        if level > 0:
-            error = _level_error(solutions[level - 1], traj, mat, config)
+        if previous is not None:
+            error = _level_error(previous, traj, mat, config)
+        previous = traj
         order = None
         if level > 1 and error is not None and rows[-1].error:
             order = float(np.log2(rows[-1].error / error))
@@ -335,22 +327,6 @@ def write_csv(rows: list[ConvergenceRow], path) -> None:
                 "" if r.error is None else repr(r.error),
                 "" if r.order is None else repr(r.order),
             ])
-
-
-def read_csv(path) -> list[ConvergenceRow]:
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["N", "h", "k", "dof", "error", "order"]:
-            raise ConfigError(f"unexpected CSV header {header}")
-        for rec in reader:
-            rows.append(ConvergenceRow(
-                N=int(rec[0]), h=float(rec[1]), k=float(rec[2]), dof=int(rec[3]),
-                error=None if rec[4] == "" else float(rec[4]),
-                order=None if rec[5] == "" else float(rec[5]),
-            ))
-    return rows
 
 
 def format_table(rows: list[ConvergenceRow]) -> str:

@@ -106,14 +106,13 @@ class Mesh:
     midpoints : (ne, 2) edge midpoints
     edge_lengths : (ne,) edge lengths
     areas : (nt,) triangle areas
-    level : refinement depth (0 for generated meshes)
     parent_map : (nt,) int array mapping each triangle to its coarse parent,
         present only on refined meshes
-    parent_mesh : the mesh this one was refined from, or None
+    parent_mesh : the mesh this one was refined from, or None; a refined
+        mesh inherits its boundary labels from it (see ``refine_uniform``)
     """
 
-    def __init__(self, vertices, triangles, domain, edge_labels_by_pair=None,
-                 level=0, parent_map=None, parent_mesh=None):
+    def __init__(self, vertices, triangles, domain, parent_map=None, parent_mesh=None):
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -137,12 +136,11 @@ class Mesh:
         self.triangles = t
         self.areas = signed
         self.domain = domain
-        self.level = level
         self.parent_map = None if parent_map is None else np.asarray(parent_map, dtype=np.int64)
         self.parent_mesh = parent_mesh
 
         self._build_edges()
-        self._classify_edges(edge_labels_by_pair)
+        self._classify_edges()
         for arr in (self.vertices, self.triangles, self.edges, self.edge_tris,
                     self.tri_edges, self.edge_labels, self.areas,
                     self.midpoints, self.edge_lengths):
@@ -181,16 +179,22 @@ class Mesh:
         dv = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         self.edge_lengths = np.hypot(dv[:, 0], dv[:, 1])
 
-    def _classify_edges(self, edge_labels_by_pair):
+    def _classify_edges(self):
         labels = np.full(len(self.edges), int(BoundaryLabel.INTERIOR), dtype=np.int64)
         boundary = np.nonzero(self.edge_tris[:, 1] < 0)[0]
-        if edge_labels_by_pair is not None:
-            for e in boundary:
-                key = (int(self.edges[e, 0]), int(self.edges[e, 1]))
-                try:
-                    labels[e] = int(edge_labels_by_pair[key])
-                except KeyError:
-                    raise MeshError(f"boundary edge {key} has no inherited label") from None
+        parent = self.parent_mesh
+        if parent is not None:
+            # a boundary child edge joins a parent vertex a to the midpoint
+            # vertex nv + e of its boundary parent edge e, whose label it takes
+            a, m = self.edges[boundary].T  # rows are sorted, so a < m
+            nv = parent.n_vertices
+            e = np.clip(m - nv, 0, parent.n_edges - 1)
+            inherited = ((a < nv) & (m - nv == e) & (parent.edge_tris[e, 1] < 0)
+                         & np.any(parent.edges[e] == a[:, None], axis=1))
+            if not np.all(inherited):
+                j = np.argmin(inherited)
+                raise MeshError(f"boundary edge {(int(a[j]), int(m[j]))} has no inherited label")
+            labels[boundary] = parent.edge_labels[e]
         else:
             dom = self.domain
             tol = 1e-12 * dom.diameter
@@ -241,16 +245,6 @@ class Mesh:
         side = np.select(on_side, SIDES, default="")
         return str(side) if side.ndim == 0 else side
 
-    def dump(self, path) -> None:
-        """Write the plain-text mesh format: one line per entity."""
-        with open(path, "w") as out:
-            for x, y in self.vertices:
-                out.write(f"v {float(x)!r} {float(y)!r}\n")
-            for i, j, k in self.triangles:
-                out.write(f"t {i} {j} {k}\n")
-            for (i, j), lab in zip(self.edges, self.edge_labels):
-                out.write(f"e {i} {j} {BoundaryLabel(lab).name}\n")
-
 
 def generate_structured(domain: Domain, n: int) -> Mesh:
     """Uniform n-by-n grid of squares, each split along the same diagonal.
@@ -267,17 +261,12 @@ def generate_structured(domain: Domain, n: int) -> Mesh:
     xx, yy = np.meshgrid(xs, ys)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh(vertices, np.array(tris), domain)
+    # lower-left vertex j * (n + 1) + i of square (i, j), squares row by row
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    tris = np.stack([np.column_stack([v00, v10, v11]),
+                     np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
+    return Mesh(vertices, tris, domain)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -302,19 +291,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     children[3::4] = np.column_stack([m0, m1, m2])
     parent_map = np.repeat(np.arange(mesh.n_triangles), 4)
 
-    # each boundary parent edge (a, b) with midpoint m contributes the
-    # labeled child edges (a, m) and (m, b); every other new edge is interior
-    labels = {}
-    boundary = np.nonzero(mesh.edge_tris[:, 1] < 0)[0]
-    for e in boundary:
-        a, b = mesh.edges[e]
-        m = midvert[e]
-        lab = mesh.edge_labels[e]
-        labels[tuple(sorted((int(a), int(m))))] = lab
-        labels[tuple(sorted((int(m), int(b))))] = lab
-
-    return Mesh(vertices, children, mesh.domain, edge_labels_by_pair=labels,
-                level=mesh.level + 1, parent_map=parent_map, parent_mesh=mesh)
+    return Mesh(vertices, children, mesh.domain, parent_map=parent_map, parent_mesh=mesh)
 
 
 def edge_sets(mesh: Mesh) -> EdgeSets:

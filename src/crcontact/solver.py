@@ -162,21 +162,23 @@ _BLOCK = 32
 
 
 def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
+                      weights: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Z = K^-1 S^T diag(weights) (n x m), one guarded solve per block of columns.
 
+    Given ``rows`` (e.g. the contact rows), only those rows of Z are kept.
     The blocks bound the memory held beside Z: the right-hand side and the
     solution of one block, plus the n x _BLOCK scratch of the solve and of
     its residual check.
     """
     n, m = factor.K.shape[0], len(tangent_idx)
-    Z = np.empty((n, m), order="F")
+    keep = slice(None) if rows is None else rows
+    Z = np.empty((n if rows is None else len(rows), m), order="F")
     for j in range(0, m, _BLOCK):
         cols = slice(j, j + _BLOCK)
-        rows = tangent_idx[cols]
-        rhs = np.zeros((n, len(rows)), order="F")
-        rhs[rows, np.arange(len(rows))] = weights[cols]
-        Z[:, cols] = factor.solve(rhs)
+        idx = tangent_idx[cols]
+        rhs = np.zeros((n, len(idx)), order="F")
+        rhs[idx, np.arange(len(idx))] = weights[cols]
+        Z[:, cols] = factor.solve(rhs)[keep]
     return Z
 
 
@@ -209,7 +211,7 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
     if factor is None:
         factor = SPDFactor(system.K)
     w = g_a * system.contact_weights
-    return _optimal_rho(_contact_response(factor, idx, w)[idx], w, g_a, k_n)
+    return _optimal_rho(_contact_response(factor, idx, w, rows=idx), w, g_a, k_n)
 
 
 def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, tangent_idx: np.ndarray,

@@ -167,28 +167,28 @@ class CRFunction:
     def zero(cls, space: CRSpace) -> "CRFunction":
         return cls(space, np.zeros(space.n_dofs_free))
 
-    def local_values(self) -> np.ndarray:
+    def _midpoint_values(self) -> np.ndarray:
         """Midpoint values per triangle: (nt, 3 local edges, 2 components).
 
         Constrained components contribute zero.
         """
-        ld = self.space.local_dofs
-        padded = np.concatenate([self.coeffs, [0.0]])
-        return padded[ld]  # -1 picks the trailing zero
+        padded = np.append(self.coeffs, 0.0)
+        return padded[self.space.local_dofs]  # -1 picks the trailing zero
 
-    def evaluate_in_tri(self, t: int, points: np.ndarray) -> np.ndarray:
-        """Evaluate the piecewise-linear field inside triangle t: (npts, 2)."""
-        coords = self.space.mesh.triangle_coords(t)
-        vals = cr_values(coords, points)  # (npts, 3)
-        local = self.local_values()[t]  # (3, 2)
-        return vals @ local
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The piecewise-linear field at points inside every triangle.
 
-    def gradient_in_tri(self, t: int) -> np.ndarray:
-        """Constant displacement gradient on triangle t as a 2x2 array."""
-        coords = self.space.mesh.triangle_coords(t)
-        grads, _ = cr_gradients(coords)  # (3, 2)
-        local = self.local_values()[t]  # (3, 2) values
-        return local.T @ grads  # grad[i, j] = d u_i / d x_j
+        ``points`` is (nt, npts, 2), row t holding points of triangle t;
+        returns (nt, npts, 2).
+        """
+        mesh = self.space.mesh
+        return cr_values(mesh.vertices[mesh.triangles], points) @ self._midpoint_values()
+
+    def gradients(self) -> np.ndarray:
+        """Constant displacement gradient per triangle: (nt, 2, 2), [t, i, j] = d u_i / d x_j."""
+        mesh = self.space.mesh
+        grads, _ = cr_gradients(mesh.vertices[mesh.triangles])  # (nt, 3, 2)
+        return np.swapaxes(self._midpoint_values(), 1, 2) @ grads
 
     def tangential_contact_values(self) -> np.ndarray:
         """Tangential midpoint values on the contact edges."""
@@ -220,20 +220,13 @@ def interpolate_cr(v, space: CRSpace) -> CRFunction:
     dropped: Dirichlet edges are skipped and the contact normal component
     is discarded.
     """
-    mesh = space.mesh
-    coeffs = np.zeros(space.n_dofs_free)
-    for e in range(mesh.n_edges):
-        dx, dy = space.dof_x[e], space.dof_y[e]
-        if dx < 0 and dy < 0:
-            continue
-        pts = space.edge_gauss_points(e)
-        mean = 0.5 * (np.asarray(v(*pts[0]), dtype=float)
-                      + np.asarray(v(*pts[1]), dtype=float))
-        if dx >= 0:
-            coeffs[dx] = mean[0]
-        if dy >= 0:
-            coeffs[dy] = mean[1]
-    return CRFunction(space, coeffs)
+    dofs = np.stack([space.dof_x, space.dof_y], axis=1)
+    edges = np.nonzero(np.any(dofs >= 0, axis=1))[0]
+    pts = space.edge_gauss_points(edges).reshape(-1, 2)
+    vals = np.array([np.asarray(v(x, y), dtype=float) for x, y in pts]).reshape(-1, 2, 2)
+    coeffs = np.zeros(space.n_dofs_free + 1)
+    coeffs[dofs[edges]] = 0.5 * (vals[:, 0] + vals[:, 1])  # -1 lands in the trailing slot
+    return CRFunction(space, coeffs[:-1])
 
 
 def prolongation_matrix(coarse_space: CRSpace, fine_space: CRSpace):

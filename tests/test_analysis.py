@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from crcontact.analysis import (
+    _DUNAVANT4_BARY,
+    _DUNAVANT4_W,
     EnergyNormEvaluator,
     brute_force_vi_oracle,
-    broken_h1_seminorm,
     broken_h1_seminorm_error,
     energy_norm,
     eoc,
@@ -186,4 +187,23 @@ class TestBrokenH1:
             return np.array([[1.0, 0.0], [0.0, 0.0]])
 
         assert broken_h1_seminorm_error(v, grad) <= 1e-12
-        assert broken_h1_seminorm(v) == pytest.approx(4.0, rel=1e-12)  # |grad| * sqrt(area)
+        # against a zero gradient: the seminorm |grad| * sqrt(area)
+        assert broken_h1_seminorm_error(v, lambda x, y: np.zeros((2, 2))) == pytest.approx(
+            4.0, rel=1e-12)
+
+    def test_matches_per_triangle_loop(self, space4):
+        # the per-triangle, per-point sum the batched form replaced; the
+        # summation order differs, so equality holds to round-off
+        fn = random_cr(space4, np.random.default_rng(3))
+        mesh = space4.mesh
+
+        def grad(x, y):
+            return np.array([[np.sin(x), x * y], [np.cos(y), x - y]])
+
+        gh = fn.gradients()
+        total = 0.0
+        for t in range(mesh.n_triangles):
+            pts = _DUNAVANT4_BARY @ mesh.triangle_coords(t)
+            for (x, y), w in zip(pts, _DUNAVANT4_W):
+                total += w * mesh.areas[t] * np.sum((grad(x, y) - gh[t]) ** 2)
+        assert broken_h1_seminorm_error(fn, grad) == pytest.approx(np.sqrt(total), rel=1e-13)

@@ -1,11 +1,13 @@
-"""Config parsing, runners, CSV round-trips and the command-line interface."""
+"""Config parsing, runners, CSV output and the command-line interface."""
 
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
 from crcontact.assembly import LoadSpec
+from crcontact.analysis import ConvergenceRow
 from crcontact.cli import (
     ConfigError,
     ProblemConfig,
@@ -13,7 +15,6 @@ from crcontact.cli import (
     format_table,
     load_config,
     main,
-    read_csv,
     run_convergence_study,
     run_single,
     write_csv,
@@ -55,6 +56,17 @@ N = 40
 n = 2
 levels = 5
 """
+
+
+def read_rows(path):
+    """Parse a study CSV back into rows; empty cells are None."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        assert next(reader) == ["N", "h", "k", "dof", "error", "order"]
+        return [ConvergenceRow(N=int(rec[0]), h=float(rec[1]), k=float(rec[2]), dof=int(rec[3]),
+                               error=None if rec[4] == "" else float(rec[4]),
+                               order=None if rec[5] == "" else float(rec[5]))
+                for rec in reader]
 
 
 def write_ini(tmp_path, text, name="run.ini"):
@@ -101,6 +113,11 @@ class TestConfigParsing:
     def test_invalid_poisson_ratio(self, tmp_path):
         text = PRESET_INI.replace("nu = 0.3", "nu = 0.6")
         with pytest.raises(ConfigError, match="material"):
+            load_config(write_ini(tmp_path, text))
+
+    def test_unparsable_rho_tilde(self, tmp_path):
+        text = PRESET_INI.replace("rho_tilde = auto", "rho_tilde = fast")
+        with pytest.raises(ConfigError, match="solver.rho_tilde"):
             load_config(write_ini(tmp_path, text))
 
     def test_no_dirichlet_side(self, tmp_path):
@@ -168,7 +185,7 @@ class TestConvergenceStudy:
     def test_csv_round_trip(self, small_rows, tmp_path):
         path = tmp_path / "study.csv"
         write_csv(small_rows, path)
-        back = read_csv(path)
+        back = read_rows(path)
         assert back == small_rows
 
     def test_determinism(self, small_rows, tmp_path):
@@ -219,7 +236,7 @@ class TestMain:
         ini = write_ini(tmp_path, PRESET_INI.replace("levels = 5", "levels = 2"))
         out_csv = tmp_path / "rows.csv"
         assert main(["study", "--config", ini, "--out", str(out_csv)]) == 0
-        rows = read_csv(out_csv)
+        rows = read_rows(out_csv)
         assert [r.dof for r in rows] == [28, 104]
         assert "order" in capsys.readouterr().out
 

@@ -7,6 +7,7 @@ from crcontact.mesh import (
     BoundaryLabel,
     BoundarySegment,
     Domain,
+    Mesh,
     MeshError,
     edge_sets,
     generate_structured,
@@ -143,7 +144,6 @@ class TestRefineUniform:
         assert refined2.parent_map is not None
         counts = np.bincount(refined2.parent_map, minlength=mesh2.n_triangles)
         assert np.all(counts == 4)
-        assert refined2.level == mesh2.level + 1
         assert refined2.parent_mesh is mesh2
 
     def test_area_preserved_per_parent(self, mesh2, refined2):
@@ -156,6 +156,47 @@ class TestRefineUniform:
             coarse = np.count_nonzero(mesh2.edge_labels == lab)
             fine = np.count_nonzero(refined2.edge_labels == lab)
             assert fine == 2 * coarse
+
+    def test_boundary_children_carry_parent_label(self):
+        # segment ends at y = 1 and x = 3 fall inside edges of the 2x2 grid,
+        # so geometric classification of a finer grid labels some children
+        # differently from their parent edge; refinement must not
+        segs = (
+            BoundarySegment("left", 0.0, 1.0, BoundaryLabel.DIRICHLET),
+            BoundarySegment("left", 1.0, 4.0, BoundaryLabel.NEUMANN),
+            BoundarySegment("bottom", 0.0, 3.0, BoundaryLabel.CONTACT),
+            BoundarySegment("bottom", 3.0, 4.0, BoundaryLabel.DIRICHLET),
+            BoundarySegment("right", 0.0, 4.0, BoundaryLabel.NEUMANN),
+            BoundarySegment("top", 0.0, 4.0, BoundaryLabel.NEUMANN),
+        )
+        dom = Domain(0.0, 4.0, 0.0, 4.0, segs)
+        coarse = generate_structured(dom, 2)
+        for _ in range(3):
+            fine = refine_uniform(coarse)
+            cb = np.nonzero(coarse.edge_tris[:, 1] < 0)[0]
+            fb = np.nonzero(fine.edge_tris[:, 1] < 0)[0]
+            # the parent of a boundary child is the coarse boundary edge that
+            # holds the child's midpoint strictly inside
+            a = coarse.vertices[coarse.edges[cb, 0]]
+            d = coarse.vertices[coarse.edges[cb, 1]] - a
+            r = fine.midpoints[fb][:, None, :] - a
+            cross = d[..., 0] * r[..., 1] - d[..., 1] * r[..., 0]
+            s = np.sum(r * d, axis=-1) / np.sum(d * d, axis=-1)
+            holds = (np.abs(cross) <= 1e-12) & (s > 0) & (s < 1)
+            assert np.all(holds.sum(axis=1) == 1)
+            parent = cb[np.argmax(holds, axis=1)]
+            assert np.array_equal(fine.edge_labels[fb], coarse.edge_labels[parent])
+            coarse = fine
+        # the policy matters here: the 16x16 grid classified from the segments
+        # labels some boundary edges differently
+        direct = generate_structured(dom, 16)
+        assert not np.array_equal(np.sort(direct.edge_labels), np.sort(coarse.edge_labels))
+
+    def test_label_mismatch_raises(self, mesh2, mesh4, refined2):
+        # refined2's boundary edges are not children of mesh4's edges
+        with pytest.raises(MeshError, match="no inherited label"):
+            Mesh(refined2.vertices, refined2.triangles, mesh2.domain,
+                 parent_map=refined2.parent_map, parent_mesh=mesh4)
 
     def test_two_refinements_match_direct_generation(self, domain, mesh2):
         twice = refine_uniform(refine_uniform(mesh2))
@@ -205,14 +246,3 @@ class TestEdgeSets:
         assert len(sets.dirichlet) == 0
         assert np.array_equal(np.sort(sets.stabilized), np.sort(sets.interior))
 
-
-class TestDump:
-    def test_plain_text_format(self, mesh2, tmp_path):
-        path = tmp_path / "mesh.txt"
-        mesh2.dump(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == mesh2.n_vertices + mesh2.n_triangles + mesh2.n_edges
-        kinds = [ln.split()[0] for ln in lines]
-        assert kinds.count("v") == mesh2.n_vertices
-        assert kinds.count("t") == mesh2.n_triangles
-        assert kinds.count("e") == mesh2.n_edges

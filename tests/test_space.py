@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crcontact.analysis import broken_h1_seminorm, broken_h1_seminorm_error
+from crcontact.analysis import broken_h1_seminorm_error
 from crcontact.mesh import (
     BoundaryLabel,
     Domain,
@@ -130,23 +130,34 @@ class TestInterpolation:
         fn = interpolate_cr(lambda x, y: (0.0, 0.0), space2)
         assert np.all(fn.coeffs == 0.0)
 
+    def test_matches_per_edge_loop(self, space4, mesh4):
+        def v(x, y):
+            return (np.sin(x) * y, np.exp(-x * y))
+
+        want = np.zeros(space4.n_dofs_free)
+        for e in range(mesh4.n_edges):
+            pts = space4.edge_gauss_points(e)
+            mean = 0.5 * (np.asarray(v(*pts[0])) + np.asarray(v(*pts[1])))
+            for comp, dof in enumerate((space4.dof_x[e], space4.dof_y[e])):
+                if dof >= 0:
+                    want[dof] = mean[comp]
+        assert np.array_equal(interpolate_cr(v, space4).coeffs, want)
+
     def test_linear_reproduction_inside_elements(self, space4, mesh4):
         def v(x, y):
             return (1.0 + 2.0 * x - y, 0.5 * x + 3.0 * y)
 
         fn = interpolate_cr(v, space4)
         rng = np.random.default_rng(0)
-        for t in range(0, mesh4.n_triangles, 5):
-            coords = mesh4.triangle_coords(t)
-            # skip triangles touching constrained edges: the field does not
-            # satisfy the boundary conditions, so constrained DOFs are dropped
-            if np.any(build_dofs(space4, t) < 0):
-                continue
-            bary = rng.dirichlet(np.ones(3), size=4)
-            pts = bary @ coords
-            got = fn.evaluate_in_tri(t, pts)
-            want = np.array([v(x, y) for x, y in pts])
-            assert np.allclose(got, want, atol=1e-12)
+        bary = rng.dirichlet(np.ones(3), size=(mesh4.n_triangles, 4))
+        pts = bary @ mesh4.vertices[mesh4.triangles]
+        got = fn.evaluate(pts)
+        want = np.stack(v(pts[..., 0], pts[..., 1]), axis=-1)
+        # skip triangles touching constrained edges: the field does not
+        # satisfy the boundary conditions, so constrained DOFs are dropped
+        free = np.all(space4.local_dofs >= 0, axis=(1, 2))
+        assert np.count_nonzero(free) > 0
+        assert np.allclose(got[free], want[free], atol=1e-12)
 
     def test_quadratic_edge_means(self, space2, mesh2):
         fn = interpolate_cr(lambda x, y: (x * x, 0.0), space2)
@@ -179,16 +190,16 @@ class TestInterpolation:
         rng = np.random.default_rng(5)
         fn = random_cr(space4, rng)
         scale = np.max(np.abs(fn.coeffs))
-        vals = fn.local_values()
+        # each triangle's trace at the Gauss points of its three edges
+        pts = space4.edge_gauss_points(mesh4.tri_edges).reshape(-1, 6, 2)
+        means = fn.evaluate(pts).reshape(-1, 3, 2, 2).mean(axis=2)  # (nt, local edge, comp)
         for e in range(mesh4.n_edges):
             t0, t1 = mesh4.edge_tris[e]
             if t1 < 0:
                 continue
-            pts = space4.edge_gauss_points(e)
-            v0 = cr_values(mesh4.triangle_coords(t0), pts) @ vals[t0]
-            v1 = cr_values(mesh4.triangle_coords(t1), pts) @ vals[t1]
-            jump_mean = 0.5 * (v0 - v1).sum(axis=0)
-            assert np.max(np.abs(jump_mean)) <= 1e-10 * scale
+            m0 = means[t0, list(mesh4.tri_edges[t0]).index(e)]
+            m1 = means[t1, list(mesh4.tri_edges[t1]).index(e)]
+            assert np.max(np.abs(m0 - m1)) <= 1e-10 * scale
 
     def test_interpolation_error_order(self, domain):
         def v(x, y):
@@ -210,10 +221,6 @@ class TestInterpolation:
             mesh = refine_uniform(mesh)
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 0.95)
-
-
-def build_dofs(space, t):
-    return space.local_dofs[t].reshape(-1)
 
 
 class TestProlongation:
@@ -241,12 +248,10 @@ class TestProlongation:
         fine = prolongate(coarse, fine_space)
         # the middle child of each parent has all edges strictly inside the
         # parent triangle, so its midpoint values come from one coarse plane
-        for p in range(space2.mesh.n_triangles):
-            center = 4 * p + 3
-            if np.any(fine_space.local_dofs[center] < 0):
-                continue
-            assert np.allclose(fine.gradient_in_tri(center),
-                               coarse.gradient_in_tri(p), atol=1e-12)
+        center = 4 * np.arange(space2.mesh.n_triangles) + 3
+        free = np.all(fine_space.local_dofs[center] >= 0, axis=(1, 2))
+        assert np.count_nonzero(free) > 0
+        assert np.allclose(fine.gradients()[center[free]], coarse.gradients()[free], atol=1e-12)
 
     def test_broken_h1_preserved_for_conforming_linears(self, space2, refined2):
         def v(x, y):
@@ -257,8 +262,12 @@ class TestProlongation:
         fine_space = build_space(refined2)
         coarse = interpolate_cr(v, space2)
         fine = prolongate(coarse, fine_space)
-        assert broken_h1_seminorm(fine) == pytest.approx(
-            broken_h1_seminorm(coarse), rel=1e-12)
+
+        def zero(x, y):
+            return np.zeros((2, 2))
+
+        assert broken_h1_seminorm_error(fine, zero) == pytest.approx(
+            broken_h1_seminorm_error(coarse, zero), rel=1e-12)
 
     def test_rejects_non_nested(self, space2, space4):
         with pytest.raises(ValueError):
@@ -287,14 +296,28 @@ class TestCRFunction:
         with pytest.raises(ValueError):
             CRFunction.zero(space2) + CRFunction.zero(space4)
 
+    def test_batched_forms_match_per_triangle_loop(self, space4, mesh4):
+        fn = random_cr(space4, np.random.default_rng(8))
+        padded = np.append(fn.coeffs, 0.0)
+        bary = np.random.default_rng(9).dirichlet(np.ones(3), size=(mesh4.n_triangles, 2))
+        pts = bary @ mesh4.vertices[mesh4.triangles]
+        values, gradients = fn.evaluate(pts), fn.gradients()
+        tol = 1e-13 * np.max(np.abs(fn.coeffs))
+        for t in range(mesh4.n_triangles):
+            coords = mesh4.triangle_coords(t)
+            local = padded[space4.local_dofs[t]]  # (3 local edges, 2 components)
+            grads, _ = cr_gradients(coords)
+            assert np.allclose(values[t], cr_values(coords, pts[t]) @ local, rtol=0, atol=tol)
+            assert np.allclose(gradients[t], local.T @ grads, rtol=0, atol=tol)
+
     def test_constrained_components_are_zero(self, space2, mesh2):
         rng = np.random.default_rng(4)
         fn = random_cr(space2, rng)
-        vals = fn.local_values()
-        for t in range(mesh2.n_triangles):
-            for j in range(3):
-                e = mesh2.tri_edges[t, j]
-                if mesh2.edge_labels[e] == BoundaryLabel.DIRICHLET:
-                    assert vals[t, j, 0] == 0.0 and vals[t, j, 1] == 0.0
-                if mesh2.edge_labels[e] == BoundaryLabel.CONTACT:
-                    assert vals[t, j, 1] == 0.0  # normal component on the bottom
+        # the field at the midpoints of each triangle's edges
+        vals = fn.evaluate(mesh2.midpoints[mesh2.tri_edges])
+        tol = 1e-14 * np.max(np.abs(fn.coeffs))
+        labels = mesh2.edge_labels[mesh2.tri_edges]
+        assert np.all(np.abs(vals[labels == BoundaryLabel.DIRICHLET]) <= tol)
+        # normal component on the bottom
+        assert np.all(np.abs(vals[labels == BoundaryLabel.CONTACT, 1]) <= tol)
+        assert np.any(labels == BoundaryLabel.DIRICHLET) and np.any(labels == BoundaryLabel.CONTACT)
