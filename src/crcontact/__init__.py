@@ -33,7 +33,6 @@ from crcontact.analysis import (
     EnergyNormBreakdown,
     brute_force_vi_oracle,
     energy_norm,
-    eoc,
     inter_mesh_error,
 )
 
@@ -69,6 +68,5 @@ __all__ = [
     "EnergyNormBreakdown",
     "brute_force_vi_oracle",
     "energy_norm",
-    "eoc",
     "inter_mesh_error",
 ]

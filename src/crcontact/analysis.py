@@ -1,4 +1,4 @@
-"""Mesh-dependent energy norms, convergence orders and a desk-scale oracle.
+"""Mesh-dependent energy norms, inter-mesh errors and a desk-scale oracle.
 
 The energy norm evaluator takes the element gradients and signed edge
 traces from the batched CR kernel of ``crcontact.space``, as the stiffness
@@ -119,16 +119,6 @@ def inter_mesh_error(u_coarse: CRFunction, u_fine: CRFunction,
     return energy_norm(diff, material, rho).total
 
 
-def eoc(errors) -> np.ndarray:
-    """Experimental orders of convergence under mesh-size halving."""
-    e = np.asarray(errors, dtype=float)
-    if len(e) < 2:
-        raise ValueError("need at least two errors")
-    if np.any(e <= 0):
-        raise ValueError("errors must be positive")
-    return np.log2(e[:-1] / e[1:])
-
-
 # -- brute-force minimizer -----------------------------------------------
 
 def minimize_tresca_quadratic(K, F, tangent_idx, weights, prev_tangent,
@@ -219,7 +209,7 @@ def brute_force_vi_oracle(system: DiscreteSystem, load: np.ndarray,
     space = system.space
     prev = u_prev.coeffs[space.contact_tangent_dof]
     u = minimize_tresca_quadratic(system.K, load, space.contact_tangent_dof,
-                                  g_a * system.contact_weights, prev, tol=tol)
+                                  g_a * space.contact_edge_lengths, prev, tol=tol)
     return CRFunction(space, u)
 
 

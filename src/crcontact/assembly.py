@@ -14,8 +14,8 @@ DOFs masked out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,34 +31,25 @@ class AssemblyError(ValueError):
 
 @dataclass
 class DiscreteSystem:
-    """Stiffness over the free DOFs plus the contact coupling layout.
+    """Stiffness over the free DOFs of a space.
 
-    ``contact_weights`` are the per-contact-edge lengths h_e; the Uzawa
-    coupling entry for multiplier lambda_e is g_a * h_e * lambda_e placed at
-    the edge's tangential DOF.
+    Multiplier lambda_e of contact edge e enters as g_a * h_e * lambda_e at
+    ``space.contact_tangent_dof[e]``, with h_e = ``space.contact_edge_lengths[e]``.
     """
 
     space: CRSpace
-    material: MaterialModel
-    rho: float
     K: sp.csr_matrix
-    contact_tangent_dof: np.ndarray = field(init=False)
-    contact_weights: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.contact_tangent_dof = self.space.contact_tangent_dof
-        self.contact_weights = self.space.contact_edge_lengths
 
 
 @dataclass(frozen=True)
 class LoadSpec:
-    """Body force, Neumann traction, friction bound and initial condition.
+    """Body force, Neumann traction and friction bound.
 
     The body force ``f`` is a constant vector; the traction ``g`` is
     componentwise affine in (x, y): g_i(x, y) = c0 + cx*x + cy*y, scaled by
     the time factor s(t) in {1, t}. ``g_sides`` optionally restricts the
     traction to named rectangle sides (other Neumann edges are traction
-    free). ``u0`` is a callable (x, y) -> (2,) or None for zero.
+    free).
     """
 
     f: tuple[float, float] = (0.0, 0.0)
@@ -68,7 +59,6 @@ class LoadSpec:
     g_time: str = "const"
     g_sides: Optional[tuple[str, ...]] = None
     g_a: float = 0.0
-    u0: Optional[Callable] = None
 
     def __post_init__(self):
         if self.g_a < 0:
@@ -139,7 +129,7 @@ def assemble_stiffness(space: CRSpace, mat: MaterialModel, rho: float) -> Discre
     n = space.n_dofs_free
     K = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
     K.sum_duplicates()
-    return DiscreteSystem(space=space, material=mat, rho=rho, K=K)
+    return DiscreteSystem(space=space, K=K)
 
 
 def assemble_load(space: CRSpace, loads: LoadSpec, t: float) -> np.ndarray:

@@ -13,7 +13,7 @@ import configparser
 import csv
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class ProblemConfig:
     n: int  # grid subdivisions on the coarsest level
     levels: int
     rho: float
-    rho_tilde: Union[float, str] = "auto"
     eps: float = 1e-8
     max_iter: int = 10000
     error_mode: str = "final"  # or "max" over shared time nodes
@@ -91,7 +90,7 @@ class ProblemConfig:
 
     @property
     def uzawa(self) -> UzawaConfig:
-        return UzawaConfig(rho_tilde=self.rho_tilde, eps=self.eps, max_iter=self.max_iter)
+        return UzawaConfig(eps=self.eps, max_iter=self.max_iter)
 
 
 def example_51_config() -> ProblemConfig:
@@ -113,12 +112,10 @@ def example_51_config() -> ProblemConfig:
         g_time="linear",
         g_sides=("left",),
         g_a=0.0012,
-        u0=None,
     )
     return ProblemConfig(
         domain=domain, E=200.0, nu=0.3, plane="strain", loads=loads,
-        T=1.0, N=40, n=2, levels=5, rho=10.0,
-        rho_tilde="auto", eps=1e-8, max_iter=10000,
+        T=1.0, N=40, n=2, levels=5, rho=10.0, eps=1e-8, max_iter=10000,
     )
 
 
@@ -161,9 +158,12 @@ def load_config(path: str) -> ProblemConfig:
         if parser.has_option("domain", "segments"):
             segs = []
             for line in parser.get("domain", "segments").strip().splitlines():
-                side, lo, hi, label = line.split()
-                segs.append(BoundarySegment(side, float(lo), float(hi),
-                                            _LABELS[label.lower()]))
+                try:
+                    side, lo, hi, label = line.split()
+                    segs.append(BoundarySegment(side, float(lo), float(hi),
+                                                _LABELS[label.lower()]))
+                except (ValueError, KeyError) as exc:  # MeshError is a ValueError
+                    raise ConfigError(f"domain.segments: bad line {line.strip()!r}: {exc!r}") from exc
             domain = Domain(x_min, x_max, y_min, y_max, tuple(segs))
         else:
             sides = {s: fetch("domain", s, lambda r: _LABELS[r.lower()])
@@ -191,6 +191,10 @@ def load_config(path: str) -> ProblemConfig:
     except ValueError as exc:
         raise ConfigError(f"loads: {exc}") from exc
 
+    # rho_tilde is computed; existing files say 'auto', and a number is refused, not ignored
+    if parser.get("solver", "rho_tilde", fallback="auto") != "auto":
+        raise ConfigError("solver.rho_tilde: the step is computed; only 'auto' is accepted")
+
     return ProblemConfig(
         domain=domain,
         E=fetch("material", "E", float),
@@ -202,8 +206,6 @@ def load_config(path: str) -> ProblemConfig:
         n=fetch("study", "n", int),
         levels=fetch("study", "levels", int, default=1),
         rho=fetch("solver", "rho", float, default=10.0),
-        rho_tilde=fetch("solver", "rho_tilde", lambda r: r if r == "auto" else float(r),
-                        default="auto"),
         eps=fetch("solver", "eps", float, default=1e-8),
         max_iter=fetch("solver", "max_iter", int, default=10000),
         error_mode=fetch("study", "error_mode", str, default="final"),

@@ -22,14 +22,14 @@ with the factorization's backward-error test.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from crcontact.assembly import DiscreteSystem, LoadSpec, assemble_load, friction_rhs
-from crcontact.space import CRFunction, interpolate_cr
+from crcontact.space import CRFunction
 
 
 class SolverError(RuntimeError):
@@ -77,21 +77,14 @@ class TimeGrid:
 class UzawaConfig:
     """Inner iteration parameters.
 
-    ``rho_tilde`` may be the string 'auto', which picks a stable step from
-    the spectrum of the contact Schur complement (the literal value 1 can
-    be arbitrarily slow for stiff materials with a small friction bound).
+    The multiplier step rho_tilde is not one of them: ``march`` computes the
+    optimal step from the spectrum of the contact Schur complement.
     """
 
-    rho_tilde: Union[float, str] = 1.0
     eps: float = 1e-8
     max_iter: int = 10000
 
     def __post_init__(self):
-        if isinstance(self.rho_tilde, str):
-            if self.rho_tilde != "auto":
-                raise ValueError("rho_tilde must be a positive number or 'auto'")
-        elif self.rho_tilde <= 0:
-            raise ValueError("rho_tilde must be positive")
         if self.eps <= 0 or self.max_iter < 1:
             raise ValueError("need eps > 0 and max_iter >= 1")
 
@@ -110,6 +103,9 @@ class TrajectorySolution:
         return self.displacements[-1]
 
 
+_RTOL = 1e-12  # backward-error tolerance of every checked solve
+
+
 class SPDFactor:
     """Cached sparse LU factorization of an SPD matrix with residual checks.
 
@@ -119,9 +115,8 @@ class SPDFactor:
     right-hand side.
     """
 
-    def __init__(self, K: sp.spmatrix, rtol: float = 1e-12):
+    def __init__(self, K: sp.spmatrix):
         self.K = K.tocsc()
-        self.rtol = rtol
         try:
             self.lu = spla.splu(self.K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True})
@@ -142,9 +137,9 @@ class SPDFactor:
             raise SolverError("linear solve produced non-finite values")
         nrhs = np.linalg.norm(rhs, axis=0)
         res = np.linalg.norm(self.K @ x - rhs, axis=0)
-        # backward-error criterion; reduces to res <= rtol*|rhs| for
+        # backward-error criterion; reduces to res <= _RTOL*|rhs| for
         # well-scaled right-hand sides and stays meaningful as rhs -> 0
-        bound = self.rtol * (nrhs + self._norm_K * np.linalg.norm(x, axis=0))
+        bound = _RTOL * (nrhs + self._norm_K * np.linalg.norm(x, axis=0))
         fail = res > np.maximum(bound, 1e-300)
         if np.any(fail):
             raise SolverError(f"linear solve residual {np.max(res * fail):.3e} exceeds "
@@ -198,19 +193,19 @@ def _optimal_rho(Z_tau: np.ndarray, weights: np.ndarray, g_a: float, k_n: float)
 
 def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
                      factor: Optional[SPDFactor] = None) -> float:
-    """Step scalar putting the multiplier update at the edge of optimal.
+    """The multiplier step that ``march`` computes from its own contact response.
 
     The fixed-point iteration matrix is I - rho_tilde*(g_a/k_n)*M with
     M = S K^-1 S^T W the tangential contact Schur complement (S selects
-    tangential contact DOFs, W = diag(g_a h_e)). Choosing
-    rho_tilde = k_n / (g_a * max eig M) keeps the spectrum in [0, 1).
+    tangential contact DOFs, W = diag(g_a h_e)); the returned step
+    2 k_n / (g_a (min eig M + max eig M)) minimizes its spectral radius.
     """
-    idx = system.contact_tangent_dof
+    idx = system.space.contact_tangent_dof
     if len(idx) == 0 or g_a == 0.0:
         return 1.0
     if factor is None:
         factor = SPDFactor(system.K)
-    w = g_a * system.contact_weights
+    w = g_a * system.space.contact_edge_lengths
     return _optimal_rho(_contact_response(factor, idx, w, rows=idx), w, g_a, k_n)
 
 
@@ -247,27 +242,24 @@ def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, tangent_idx: np.ndarray,
 
 
 def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.ndarray],
-                     u_prev: CRFunction, k_n: float, cfg: UzawaConfig, g_a: float,
-                     lam0: Optional[np.ndarray] = None):
+                     u_prev: CRFunction, k_n: float, rho_tilde: float, cfg: UzawaConfig,
+                     g_a: float, lam0: Optional[np.ndarray] = None):
     """One backward-Euler step solved by the Uzawa fixed-point iteration.
 
     ``u_base`` = K^-1 F(t_n) and ``Z`` = K^-1 S^T diag(g_a h_e) (unused, and
     may be None, without contact or friction). Returns (u, multipliers,
-    iterations). The multiplier update uses the tangential backward-difference
-    velocity (u - u_prev)_tau / k_n, and the iteration stops when the
-    max-norm of successive displacement iterates drops below cfg.eps.
-    ``lam0`` warm-starts the multiplier; ``cfg.rho_tilde`` must be a number
-    (``march`` resolves 'auto').
+    iterations). The multiplier update, with step ``rho_tilde``, uses the
+    tangential backward-difference velocity (u - u_prev)_tau / k_n, and the
+    iteration stops when the max-norm of successive displacement iterates
+    drops below cfg.eps. ``lam0`` warm-starts the multiplier.
     """
     space = system.space
     m = len(space.contact_edges)
     if m == 0 or g_a == 0.0:
         return CRFunction(space, u_base), np.zeros(m), 1
-    if isinstance(cfg.rho_tilde, str):
-        raise ValueError("rho_tilde='auto' must be resolved before the step (see march)")
     idx = space.contact_tangent_dof
     u, lam, it, _ = uzawa_iterate(u_base, Z, idx, g_a, u_prev.coeffs[idx], k_n,
-                                  cfg.rho_tilde, cfg.eps, cfg.max_iter, lam0=lam0)
+                                  rho_tilde, cfg.eps, cfg.max_iter, lam0=lam0)
     return CRFunction(space, u), lam, it
 
 
@@ -282,27 +274,25 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
           cfg: UzawaConfig, log: Optional[Callable[[str], None]] = None) -> TrajectorySolution:
     """Backward-Euler marching over the whole time grid.
 
-    The multiplier is warm-started from the previous step. A level costs
+    The march starts from rest, the multiplier step is the optimal one of
+    ``stable_rho_tilde``, and the multiplier is warm-started from the
+    previous step. A level costs
     one factorization, one block solve per ``_BLOCK`` contact edges for the
     contact response Z and one two-column solve for the load responses U_f
     and U_g; each step's u is checked against K u = F(t_n) - c(lambda_n).
     """
     space = system.space
-    if loads.u0 is None:
-        u = CRFunction.zero(space)
-    else:
-        u = interpolate_cr(loads.u0, space)
+    u = CRFunction.zero(space)
     factor = SPDFactor(system.K)
-    idx = system.contact_tangent_dof
+    idx = space.contact_tangent_dof
     m = len(idx)
     k = grid.k
-    Z = None
+    Z, rho_tilde = None, 1.0
     if m and loads.g_a != 0.0:
-        w = loads.g_a * system.contact_weights
+        w = loads.g_a * space.contact_edge_lengths
         Z = _contact_response(factor, idx, w)
-        if cfg.rho_tilde == "auto":
-            # uniform k: the stable step is the same for every time step
-            cfg = replace(cfg, rho_tilde=_optimal_rho(Z[idx], w, loads.g_a, k))
+        # uniform k: the stable step is the same for every time step
+        rho_tilde = _optimal_rho(Z[idx], w, loads.g_a, k)
     F_f, F_g = _load_parts(space, loads)
     U_f, U_g = factor.solve(np.column_stack((F_f, F_g))).T
 
@@ -313,8 +303,8 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     for n, t_n in enumerate(grid.nodes[1:], start=1):
         s_f, s_g = (LoadSpec.time_factor(name, t_n) for name in (loads.f_time, loads.g_time))
         try:
-            u, lam, it = uzawa_step_solve(system, s_f * U_f + s_g * U_g, Z, u, k, cfg,
-                                          loads.g_a, lam0=lam)
+            u, lam, it = uzawa_step_solve(system, s_f * U_f + s_g * U_g, Z, u, k, rho_tilde,
+                                          cfg, loads.g_a, lam0=lam)
         except UzawaError as exc:
             exc.step = n
             raise

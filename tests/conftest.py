@@ -1,7 +1,5 @@
 """Shared fixtures: reference domain, meshes, spaces and material."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -64,15 +62,16 @@ def random_cr(space, rng, scale=1.0):
     return CRFunction(space, scale * rng.standard_normal(space.n_dofs_free))
 
 
-def step_from_load(system, load, u_prev, k_n, cfg, g_a, factor=None):
+def step_from_load(system, load, u_prev, k_n, cfg, g_a, factor=None, rho_tilde=None):
     """``uzawa_step_solve`` on a load vector, set up as ``march`` does it.
 
-    Resolves rho_tilde='auto' and passes u_base = K^-1 load and the contact
-    response Z.
+    Passes u_base = K^-1 load, the contact response Z and, unless given,
+    the computed rho_tilde.
     """
     factor = SPDFactor(system.K) if factor is None else factor
-    idx = system.contact_tangent_dof
-    Z = _contact_response(factor, idx, g_a * system.contact_weights) if g_a else None
-    if cfg.rho_tilde == "auto":
-        cfg = dataclasses.replace(cfg, rho_tilde=stable_rho_tilde(system, g_a, k_n, factor))
-    return uzawa_step_solve(system, factor.solve(load), Z, u_prev, k_n, cfg, g_a)
+    space = system.space
+    Z = (_contact_response(factor, space.contact_tangent_dof, g_a * space.contact_edge_lengths)
+         if g_a else None)
+    if rho_tilde is None:
+        rho_tilde = stable_rho_tilde(system, g_a, k_n, factor)
+    return uzawa_step_solve(system, factor.solve(load), Z, u_prev, k_n, rho_tilde, cfg, g_a)

@@ -166,7 +166,7 @@ def test_criterion_5_oracle_equivalence(small_problem):
     cfg, space, system = small_problem
     mat, rho, g_a = cfg.material, cfg.rho, cfg.loads.g_a
     k = 0.025
-    ucfg = UzawaConfig(rho_tilde="auto", eps=1e-12)
+    ucfg = UzawaConfig(eps=1e-12)
     factor = SPDFactor(system.K)
     worst = 0.0
     u_prev = CRFunction.zero(space)
@@ -345,7 +345,7 @@ def test_criterion_10_frictionless_reduction(small_problem):
     cfg, space, system = small_problem
     loads = dataclasses.replace(cfg.loads, g_a=0.0)
     grid = TimeGrid(T=1.0, N=5)
-    traj = march(system, loads, grid, UzawaConfig(rho_tilde=1.0))
+    traj = march(system, loads, grid, UzawaConfig())
     worst = 0.0
     for n, t_n in enumerate(grid.nodes[1:], start=1):
         direct = SPDFactor(system.K).solve(assemble_load(space, loads, t_n))

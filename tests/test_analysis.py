@@ -1,4 +1,4 @@
-"""Energy norms, inter-mesh errors, convergence orders and the oracle."""
+"""Energy norms, inter-mesh errors and the oracle."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,10 @@ from crcontact.analysis import (
     brute_force_vi_oracle,
     broken_h1_seminorm_error,
     energy_norm,
-    eoc,
     inter_mesh_error,
     minimize_tresca_quadratic,
 )
+from crcontact.assembly import DiscreteSystem
 from crcontact.mesh import (
     BoundaryLabel,
     BoundarySegment,
@@ -101,27 +101,6 @@ class TestInterMeshError:
                              material, config.rho)
 
 
-class TestEOC:
-    def test_exact_halving(self):
-        orders = eoc([8.0, 4.0, 2.0, 1.0])
-        assert np.allclose(orders, 1.0)
-
-    def test_reference_pair(self):
-        # log2(2.512/1.431)
-        assert eoc([2.512e-4, 1.431e-4])[0] == pytest.approx(0.8118, abs=5e-5)
-
-    def test_constant_errors(self):
-        assert np.allclose(eoc([0.5, 0.5, 0.5]), 0.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            eoc([1.0, 0.0])
-
-    def test_rejects_single_entry(self):
-        with pytest.raises(ValueError):
-            eoc([1.0])
-
-
 class TestOracle:
     def test_zero_load(self, system2, space2, config):
         u = brute_force_vi_oracle(system2, np.zeros(space2.n_dofs_free),
@@ -138,9 +117,7 @@ class TestOracle:
 
     def test_rejects_large_systems(self, system2, space2, config):
         big = sp.eye(5000, format="csr")
-        fake = type(system2)(space=space2, material=system2.material,
-                             rho=system2.rho, K=system2.K)
-        fake.K = big
+        fake = DiscreteSystem(space2, big)
         with pytest.raises(ValueError):
             brute_force_vi_oracle(fake, np.zeros(5000), CRFunction.zero(space2),
                                   0.025, 0.001)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,40 +23,10 @@ from crcontact.cli import (
 from crcontact.mesh import BoundaryLabel, Domain
 from crcontact.solver import UzawaError
 
-PRESET_INI = """
-[domain]
-x_min = 0
-x_max = 4
-y_min = 0
-y_max = 4
-left = neumann
-right = dirichlet
-bottom = contact
-top = neumann
-
-[material]
-E = 200
-nu = 0.3
-plane = strain
-
-[loads]
-gx = 0.1 0 -0.02
-gy = -0.01 0 0
-g_time = linear
-g_sides = left
-g_a = 0.0012
-
-[solver]
-rho = 10
-rho_tilde = auto
-eps = 1e-8
-
-[study]
-T = 1
-N = 40
-n = 2
-levels = 5
-"""
+# the README's INI example, which writes out the example-5.1 preset in full
+README = Path(__file__).resolve().parents[1] / "README.md"
+PRESET_INI = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+SIDE_KEYS = "left = neumann\nright = dirichlet\nbottom = contact\ntop = neumann"
 
 
 def read_rows(path):
@@ -83,23 +54,30 @@ def zero_load_config(levels=1):
 
 class TestConfigParsing:
     def test_matches_preset(self, tmp_path):
-        got = load_config(write_ini(tmp_path, PRESET_INI))
-        want = example_51_config()
-        assert got.domain == want.domain
-        assert got.loads == want.loads
-        assert (got.E, got.nu, got.plane) == (want.E, want.nu, want.plane)
-        assert (got.T, got.N, got.n, got.levels) == (want.T, want.N, want.n, want.levels)
-        assert (got.rho, got.rho_tilde, got.eps) == (want.rho, want.rho_tilde, want.eps)
+        assert load_config(write_ini(tmp_path, PRESET_INI)) == example_51_config()
 
     def test_segments_section(self, tmp_path):
         text = PRESET_INI.replace(
-            "left = neumann\nright = dirichlet\nbottom = contact\ntop = neumann",
+            SIDE_KEYS,
             "segments =\n    left 0 4 neumann\n    right 0 4 dirichlet\n"
             "    bottom 0 4 contact\n    top 0 4 neumann")
         got = load_config(write_ini(tmp_path, text))
         labels = {s.side: s.label for s in got.domain.boundary_spec}
         assert labels["right"] == BoundaryLabel.DIRICHLET
         assert labels["bottom"] == BoundaryLabel.CONTACT
+
+    @pytest.mark.parametrize("line", ["left 0 4", "left 0 4 sticky", "left 0 four neumann"],
+                             ids=["field-count", "unknown-label", "unparsable-number"])
+    def test_malformed_segment_line_exit_1(self, tmp_path, capsys, line):
+        text = PRESET_INI.replace(
+            SIDE_KEYS,
+            f"segments =\n    {line}\n    right 0 4 dirichlet\n"
+            "    bottom 0 4 contact\n    top 0 4 neumann")
+        ini = write_ini(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"domain.segments: bad line '{line}'"):
+            load_config(ini)
+        assert main(["solve", "--config", ini]) == 1
+        assert "config error: domain.segments" in capsys.readouterr().err
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -116,9 +94,16 @@ class TestConfigParsing:
             load_config(write_ini(tmp_path, text))
 
     def test_unparsable_rho_tilde(self, tmp_path):
-        text = PRESET_INI.replace("rho_tilde = auto", "rho_tilde = fast")
+        text = PRESET_INI.replace("rho = 10\n", "rho = 10\nrho_tilde = fast\n")
         with pytest.raises(ConfigError, match="solver.rho_tilde"):
             load_config(write_ini(tmp_path, text))
+
+    def test_rho_tilde_auto_only(self, tmp_path):
+        # files written for the former option still load; a number is refused, not ignored
+        text = PRESET_INI.replace("rho = 10\n", "rho = 10\nrho_tilde = auto\n")
+        assert load_config(write_ini(tmp_path, text)) == example_51_config()
+        with pytest.raises(ConfigError, match="solver.rho_tilde"):
+            load_config(write_ini(tmp_path, text.replace("= auto", "= 0.5")))
 
     def test_no_dirichlet_side(self, tmp_path):
         text = PRESET_INI.replace("right = dirichlet", "right = neumann")

@@ -20,10 +20,13 @@ from crcontact.solver import (
     march,
     projection_P,
     stable_rho_tilde,
-    uzawa_step_solve,
 )
 from crcontact.space import CRFunction, build_space
 from conftest import random_cr, step_from_load
+
+
+# friction bound at which every contact edge of the preset sticks at T
+STICK_G_A = 0.12
 
 
 def random_spd(rng, n):
@@ -56,13 +59,7 @@ class TestProjection:
 
 
 class TestUzawaConfig:
-    def test_auto_accepted(self):
-        UzawaConfig(rho_tilde="auto")
-
-    @pytest.mark.parametrize("kw", [
-        dict(rho_tilde=0.0), dict(rho_tilde="fast"),
-        dict(eps=0.0), dict(max_iter=0),
-    ])
+    @pytest.mark.parametrize("kw", [dict(eps=0.0), dict(max_iter=0)])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             UzawaConfig(**kw)
@@ -129,7 +126,7 @@ class TestSolveSPD:
 
 class TestUzawaStep:
     def test_zero_loads_fixed_point(self, system2, space2, config):
-        cfg = UzawaConfig(rho_tilde=1.0)
+        cfg = UzawaConfig()
         u, lam, it = step_from_load(system2, np.zeros(space2.n_dofs_free),
                                     CRFunction.zero(space2), 0.025, cfg,
                                     config.loads.g_a)
@@ -139,7 +136,7 @@ class TestUzawaStep:
 
     def test_frictionless_matches_linear_solve(self, system2, space2, config):
         load = assemble_load(space2, config.loads, 1.0)
-        cfg = UzawaConfig(rho_tilde=1.0)
+        cfg = UzawaConfig()
         u, lam, it = step_from_load(system2, load, CRFunction.zero(space2),
                                     0.025, cfg, g_a=0.0)
         direct = SPDFactor(system2.K).solve(load)
@@ -149,7 +146,7 @@ class TestUzawaStep:
     def test_first_step_matches_oracle(self, system2, space2, material, config):
         k = 0.025
         load = assemble_load(space2, config.loads, k)
-        cfg = UzawaConfig(rho_tilde="auto", eps=1e-12)
+        cfg = UzawaConfig(eps=1e-12)
         u, lam, _ = step_from_load(system2, load, CRFunction.zero(space2),
                                    k, cfg, config.loads.g_a)
         ref = brute_force_vi_oracle(system2, load, CRFunction.zero(space2), k,
@@ -159,19 +156,13 @@ class TestUzawaStep:
         assert err <= 1e-6 * scale
         assert np.max(np.abs(lam)) <= 1.0
 
-    def test_unresolved_auto_rho_tilde_rejected(self, system2, space2, config):
-        n = space2.n_dofs_free
-        with pytest.raises(ValueError):
-            uzawa_step_solve(system2, np.zeros(n), np.zeros((n, len(space2.contact_edges))),
-                             CRFunction.zero(space2), 0.025, UzawaConfig(rho_tilde="auto"),
-                             config.loads.g_a)
-
     def test_max_iter_exceeded_carries_state(self, system2, space2, config):
+        # the stick regime: the preset's step would converge within the cap
         load = assemble_load(space2, config.loads, 1.0)
-        cfg = UzawaConfig(rho_tilde=1.0, eps=1e-14, max_iter=3)
+        cfg = UzawaConfig(eps=1e-14, max_iter=3)
         with pytest.raises(UzawaError) as exc_info:
             step_from_load(system2, load, CRFunction.zero(space2), 0.025,
-                           cfg, config.loads.g_a)
+                           cfg, STICK_G_A)
         err = exc_info.value
         assert err.last_u is not None
         assert err.last_lam is not None
@@ -183,10 +174,10 @@ class TestUzawaStep:
         load = assemble_load(space2, config.loads, k)
         auto = stable_rho_tilde(system2, config.loads.g_a, k)
         results = []
+        cfg = UzawaConfig(eps=1e-13, max_iter=100000)
         for rho_tilde in (0.5 * auto, auto):
-            cfg = UzawaConfig(rho_tilde=rho_tilde, eps=1e-13, max_iter=100000)
             u, _, _ = step_from_load(system2, load, CRFunction.zero(space2),
-                                     k, cfg, config.loads.g_a)
+                                     k, cfg, config.loads.g_a, rho_tilde=rho_tilde)
             results.append(u)
         diff = energy_norm(results[0] - results[1], material, config.rho).total
         scale = energy_norm(results[1], material, config.rho).total
@@ -214,8 +205,8 @@ class TestSymmetricFactor:
 
     def test_same_contact_response_and_rho_tilde(self, config):
         system = self.level(config, 3)
-        idx, g_a = system.contact_tangent_dof, config.loads.g_a
-        w = g_a * system.contact_weights
+        idx, g_a = system.space.contact_tangent_dof, config.loads.g_a
+        w = g_a * system.space.contact_edge_lengths
         lu = spla.splu(system.K.tocsc())  # default ordering, one column at a time
         ref = np.zeros((system.K.shape[0], len(idx)))
         for j, (i, w_i) in enumerate(zip(idx, w)):
@@ -244,21 +235,21 @@ class TestSymmetricFactor:
 class TestMarch:
     def test_zero_everything(self, system2, config):
         loads = dataclasses.replace(config.loads, g_coeffs=((0.0,) * 3, (0.0,) * 3))
-        traj = march(system2, loads, TimeGrid(T=1.0, N=5), UzawaConfig(rho_tilde=1.0))
+        traj = march(system2, loads, TimeGrid(T=1.0, N=5), UzawaConfig())
         assert len(traj.displacements) == 6
         for u in traj.displacements:
             assert np.all(u.coeffs == 0.0)
 
     def test_step_schedule(self, system2, config):
         traj = march(system2, config.loads, TimeGrid(T=1.0, N=40),
-                     UzawaConfig(rho_tilde="auto"))
+                     UzawaConfig())
         assert traj.grid.k == 0.025
         assert len(traj.uzawa_iters) == 40
         assert len(traj.displacements) == 41
 
     def test_monotone_growth_under_ramp(self, system2, material, config):
         traj = march(system2, config.loads, TimeGrid(T=1.0, N=40),
-                     UzawaConfig(rho_tilde="auto"))
+                     UzawaConfig())
         norms = [energy_norm(u, material, config.rho).total
                  for u in traj.displacements]
         assert norms[0] == 0.0
@@ -266,7 +257,7 @@ class TestMarch:
 
     def test_multiplier_feasibility(self, system2, config):
         traj = march(system2, config.loads, TimeGrid(T=1.0, N=40),
-                     UzawaConfig(rho_tilde="auto"))
+                     UzawaConfig())
         for lam in traj.multipliers:
             assert np.max(np.abs(lam)) <= 1.0
 
@@ -274,20 +265,22 @@ class TestMarch:
         runs = []
         for _ in range(2):
             traj = march(system2, config.loads, TimeGrid(T=1.0, N=10),
-                         UzawaConfig(rho_tilde="auto"))
+                         UzawaConfig())
             runs.append(np.concatenate([u.coeffs for u in traj.displacements]))
         assert np.array_equal(runs[0], runs[1])
 
     def test_failure_reports_step(self, system2, config):
-        cfg = UzawaConfig(rho_tilde=1.0, eps=1e-14, max_iter=2)
+        # the stick regime: the preset's first step would converge within the cap
+        loads = dataclasses.replace(config.loads, g_a=STICK_G_A)
+        cfg = UzawaConfig(eps=1e-14, max_iter=2)
         with pytest.raises(UzawaError) as exc_info:
-            march(system2, config.loads, TimeGrid(T=1.0, N=5), cfg)
+            march(system2, loads, TimeGrid(T=1.0, N=5), cfg)
         assert exc_info.value.step == 1
 
     def test_vi_residual_on_random_test_functions(self, system2, space2,
                                                   material, config):
         grid = TimeGrid(T=1.0, N=10)
-        cfg = UzawaConfig(rho_tilde="auto", eps=1e-12)
+        cfg = UzawaConfig(eps=1e-12)
         traj = march(system2, config.loads, grid, cfg)
         from crcontact.assembly import friction_value
 
@@ -313,7 +306,7 @@ class TestMarch:
 def n_space_march(system, loads, grid, cfg):
     """The former march, as a reference: one guarded solve per Uzawa iteration."""
     factor = SPDFactor(system.K)
-    idx, w = system.contact_tangent_dof, loads.g_a * system.contact_weights
+    idx, w = system.space.contact_tangent_dof, loads.g_a * system.space.contact_edge_lengths
     rho_tilde = stable_rho_tilde(system, loads.g_a, grid.k, factor)
     u, lam = np.zeros(system.K.shape[0]), np.zeros(len(idx))
     us, iters = [u], []
@@ -341,7 +334,7 @@ class TestContactSpaceMarch:
 
     @pytest.mark.parametrize("change", [
         {},  # the preset: slip at T
-        {"g_a": 0.12},  # stick at T
+        {"g_a": STICK_G_A},  # stick at T
         {"f": (0.05, -0.02), "f_time": "linear", "g_time": "const"},  # both load parts
     ], ids=["preset", "stick", "body-force"])
     def test_matches_n_space_loop_on_level_2(self, config, change):
