@@ -59,7 +59,9 @@ class TestProjection:
 
 
 class TestUzawaConfig:
-    @pytest.mark.parametrize("kw", [dict(eps=0.0), dict(max_iter=0)])
+    @pytest.mark.parametrize(
+        "kw", [dict(eps=-1e-8), dict(max_iter=-1), dict(eps=0.0), dict(max_iter=0)]
+    )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             UzawaConfig(**kw)
