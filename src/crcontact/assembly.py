@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from crcontact.mesh import BoundaryLabel, edge_sets
+from crcontact.mesh import SIDES, BoundaryLabel, edge_sets
 from crcontact.material import MaterialModel
 from crcontact.space import CRFunction, CRSpace, _jump_traces, cr_gradients, cr_values
 
@@ -41,15 +41,20 @@ class DiscreteSystem:
     K: sp.csr_matrix
 
 
+# time factor s(t) of each load term; every load is therefore affine in t
+_TIME_FACTORS = {"const": lambda t: 1.0, "linear": lambda t: t}
+
+
 @dataclass(frozen=True)
 class LoadSpec:
     """Body force, Neumann traction and friction bound.
 
     The body force ``f`` is a constant vector; the traction ``g`` is
-    componentwise affine in (x, y): g_i(x, y) = c0 + cx*x + cy*y, scaled by
-    the time factor s(t) in {1, t}. ``g_sides`` optionally restricts the
-    traction to named rectangle sides (other Neumann edges are traction
-    free).
+    componentwise affine in (x, y): g_i(x, y) = c0 + cx*x + cy*y. Each is
+    scaled by its time factor, 1 ('const') or t ('linear'), so the load
+    vector is affine in t: F(t) = F(0) + t (F(1) - F(0)). ``g_sides``
+    optionally restricts the traction to named rectangle sides (other
+    Neumann edges are traction free).
     """
 
     f: tuple[float, float] = (0.0, 0.0)
@@ -64,22 +69,20 @@ class LoadSpec:
         if self.g_a < 0:
             raise AssemblyError(f"friction bound must be nonnegative, got {self.g_a}")
         for name in (self.f_time, self.g_time):
-            if name not in ("const", "linear"):
+            if name not in _TIME_FACTORS:
                 raise AssemblyError(f"time factor must be 'const' or 'linear', got {name!r}")
-
-    @staticmethod
-    def time_factor(name: str, t: float) -> float:
-        """s(t) of a time-factor name: 1 for 'const', t for 'linear'."""
-        return 1.0 if name == "const" else t
+        unknown = set(self.g_sides or ()) - set(SIDES)
+        if unknown:
+            raise AssemblyError(f"unknown traction side(s) {sorted(unknown)}, expected {SIDES}")
 
     def f_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.f, dtype=float) * self.time_factor(self.f_time, t)
+        return np.asarray(self.f, dtype=float) * _TIME_FACTORS[self.f_time](t)
 
     def g_at(self, points: np.ndarray, t: float) -> np.ndarray:
         """Traction values at points (npts, 2), scaled by the time factor."""
         c = np.asarray(self.g_coeffs, dtype=float)  # (2, 3)
         vals = c[:, 0][None, :] + points @ c[:, 1:].T
-        return vals * self.time_factor(self.g_time, t)
+        return vals * _TIME_FACTORS[self.g_time](t)
 
 
 def element_stiffness(coords: np.ndarray, mat: MaterialModel) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from crcontact.analysis import ConvergenceRow, inter_mesh_error
+from crcontact.analysis import ConvergenceRow, EnergyNormEvaluator
 from crcontact.assembly import LoadSpec, assemble_stiffness
 from crcontact.material import MaterialModel
 from crcontact.mesh import (
@@ -32,12 +32,11 @@ from crcontact.mesh import (
 from crcontact.solver import (
     SolverError,
     TimeGrid,
-    TrajectorySolution,
     UzawaConfig,
     UzawaError,
     march,
 )
-from crcontact.space import build_space
+from crcontact.space import build_space, prolongate
 
 
 class ConfigError(ValueError):
@@ -129,14 +128,20 @@ _LABELS = {
 
 
 def load_config(path: str) -> ProblemConfig:
-    """Parse an INI config file into a validated ProblemConfig."""
+    """Parse an INI config file into a validated ProblemConfig.
+
+    A key that is not read is an error, so a misspelled key cannot fall
+    back to its default unnoticed.
+    """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case: N (time steps) vs n (grid)
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    used = set()
 
     def fetch(section, key, conv=str, default=None):
+        used.add((section, key))
         if not parser.has_option(section, key):
             if default is not None:
                 return default
@@ -157,7 +162,7 @@ def load_config(path: str) -> ProblemConfig:
         y_max = fetch("domain", "y_max", float)
         if parser.has_option("domain", "segments"):
             segs = []
-            for line in parser.get("domain", "segments").strip().splitlines():
+            for line in fetch("domain", "segments").strip().splitlines():
                 try:
                     side, lo, hi, label = line.split()
                     segs.append(BoundarySegment(side, float(lo), float(hi),
@@ -192,15 +197,13 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError(f"loads: {exc}") from exc
 
     # rho_tilde is computed; existing files say 'auto', and a number is refused, not ignored
-    if parser.get("solver", "rho_tilde", fallback="auto") != "auto":
+    if fetch("solver", "rho_tilde", default="auto") != "auto":
         raise ConfigError("solver.rho_tilde: the step is computed; only 'auto' is accepted")
 
-    return ProblemConfig(
-        domain=domain,
+    fields = dict(
         E=fetch("material", "E", float),
         nu=fetch("material", "nu", float),
         plane=fetch("material", "plane", str, default="strain"),
-        loads=loads,
         T=fetch("study", "T", float),
         N=fetch("study", "N", int),
         n=fetch("study", "n", int),
@@ -210,6 +213,11 @@ def load_config(path: str) -> ProblemConfig:
         max_iter=fetch("solver", "max_iter", int, default=10000),
         error_mode=fetch("study", "error_mode", str, default="final"),
     )
+    unread = [f"{section}.{key}" for section in parser.sections()
+              for key in parser[section] if (section, key) not in used]
+    if unread:
+        raise ConfigError(f"unknown key(s) {', '.join(unread)}")
+    return ProblemConfig(domain=domain, loads=loads, **fields)
 
 
 # -- runners ---------------------------------------------------------------
@@ -235,6 +243,8 @@ def solve_level(config: ProblemConfig, mesh: Mesh, level: int,
 def run_single(config: ProblemConfig, level: int = 0,
                dump_fields: Optional[str] = None, log=None) -> dict:
     """Solve a single level and return a summary dictionary."""
+    if level < 0:
+        raise ConfigError(f"solve: level must be nonnegative, got {level}")
     meshes = build_meshes(config, level + 1)
     space, _, traj = solve_level(config, meshes[-1], level, log=log)
     u = traj.final
@@ -274,48 +284,30 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
     if config.levels < 2:
         raise ConfigError("study: need at least 2 levels for a convergence study")
     meshes = build_meshes(config, config.levels)
-    mat = config.material
-    previous = None  # each error compares two successive levels: keep only the last
+    previous = None  # the previous level's displacements at the nodes it shares
     rows: list[ConvergenceRow] = []
-    side = config.domain.x_max - config.domain.x_min
     for level, mesh in enumerate(meshes):
         try:
             space, _, traj = solve_level(config, mesh, level, log=log)
         except (SolverError, UzawaError) as exc:
             exc.args = (f"level {level}: {exc}",) + exc.args[1:]
             raise
-        error = None
+        grid = traj.grid
+        # the nodes shared with the next level: the last one, or every one
+        nodes = traj.displacements if config.error_mode == "max" else [traj.final]
+        del traj  # in final mode, u(T) is all the next level reads
+        error = order = None
         if previous is not None:
-            error = _level_error(previous, traj, mat, config)
-        previous = traj
-        order = None
-        if level > 1 and error is not None and rows[-1].error:
-            order = float(np.log2(rows[-1].error / error))
-        rows.append(ConvergenceRow(
-            N=config.N * 2**level,
-            h=(side / (config.n * 2**level)) / side,
-            k=config.T / (config.N * 2**level),
-            dof=space.n_dofs_reported,
-            error=error,
-            order=order,
-        ))
+            # the fine grid has twice the steps: its even nodes are the coarse ones
+            norm = EnergyNormEvaluator(space, config.material, config.rho)
+            error = max(norm(prolongate(uc, space) - uf)
+                        for uc, uf in zip(previous, nodes[::2], strict=True))
+            if rows[-1].error:
+                order = float(np.log2(rows[-1].error / error))
+        previous = nodes
+        rows.append(ConvergenceRow(N=grid.N, h=1.0 / (config.n * 2**level), k=grid.k,
+                                   dof=space.n_dofs_reported, error=error, order=order))
     return rows
-
-
-def _level_error(coarse: TrajectorySolution, fine: TrajectorySolution,
-                 mat, config) -> float:
-    if config.error_mode == "final":
-        return inter_mesh_error(coarse.final, fine.final, mat, config.rho)
-    # max over the coarse time nodes (fine grid has twice the steps)
-    from crcontact.analysis import EnergyNormEvaluator
-    from crcontact.space import prolongate
-
-    evaluator = EnergyNormEvaluator(fine.final.space, mat, config.rho)
-    worst = 0.0
-    for n, uc in enumerate(coarse.displacements):
-        uf = fine.displacements[2 * n]
-        worst = max(worst, evaluator(prolongate(uc, uf.space) - uf))
-    return worst
 
 
 def write_csv(rows: list[ConvergenceRow], path) -> None:
@@ -344,11 +336,7 @@ def format_table(rows: list[ConvergenceRow]) -> str:
 
 def _config_from_args(args) -> ProblemConfig:
     if args.preset is not None:
-        try:
-            return PRESETS[args.preset]()
-        except KeyError:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; available: {', '.join(PRESETS)}") from None
+        return PRESETS[args.preset]()
     if args.config is None:
         raise ConfigError("either --config or --preset is required")
     return load_config(args.config)
@@ -359,30 +347,23 @@ def main(argv=None) -> int:
         prog="crcontact",
         description="CR finite element solver for quasi-static Tresca contact")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config")
+    common.add_argument("--preset", choices=sorted(PRESETS))
+    common.add_argument("--verbose", action="store_true")
 
-    p_solve = sub.add_parser("solve", help="run a single level")
-    p_solve.add_argument("--config")
-    p_solve.add_argument("--preset", choices=sorted(PRESETS))
+    p_solve = sub.add_parser("solve", parents=[common], help="run a single level")
     p_solve.add_argument("--level", type=int, default=0)
     p_solve.add_argument("--dump-fields", default=None)
-    p_solve.add_argument("--verbose", action="store_true")
 
-    p_study = sub.add_parser("study", help="run a refinement study")
-    p_study.add_argument("--config")
-    p_study.add_argument("--preset", choices=sorted(PRESETS))
+    p_study = sub.add_parser("study", parents=[common], help="run a refinement study")
     p_study.add_argument("--out", default=None)
-    p_study.add_argument("--verbose", action="store_true")
 
     args = parser.parse_args(argv)
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
 
     try:
         config = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if args.command == "solve":
             summary = run_single(config, level=args.level,
                                  dump_fields=args.dump_fields, log=log)

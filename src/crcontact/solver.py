@@ -11,9 +11,9 @@ contact DOFs. The iteration runs in contact space. Once per level, ``march``
 factors K (SuperLU in symmetric mode) and computes the contact response
 Z = K^-1 S^T diag(g_a h_e) (the Delassus operator of nonsmooth contact
 dynamics, solved in blocks of contact edges) and, in one two-column solve,
-the responses U_f, U_g to the body-force and traction loads, since
-F(t) = s_f(t) F_f + s_g(t) F_g. A step then starts from
-u = s_f U_f + s_g U_g - Z lambda and each iteration updates
+the responses U_0, U_1 to the load at t = 0 and to its slope, since every
+load is affine in t: F(t) = F_0 + t F_1. A step then starts from
+u = U_0 + t_n U_1 - Z lambda and each iteration updates
 u <- u - Z (lambda_new - lambda): no sparse solve per step or iteration.
 The final u of every step is checked against K u = F(t_n) - c(lambda_n)
 with the factorization's backward-error test.
@@ -21,7 +21,7 @@ with the factorization's backward-error test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -246,28 +246,21 @@ def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.
                      g_a: float, lam0: Optional[np.ndarray] = None):
     """One backward-Euler step solved by the Uzawa fixed-point iteration.
 
-    ``u_base`` = K^-1 F(t_n) and ``Z`` = K^-1 S^T diag(g_a h_e) (unused, and
-    may be None, without contact or friction). Returns (u, multipliers,
-    iterations). The multiplier update, with step ``rho_tilde``, uses the
-    tangential backward-difference velocity (u - u_prev)_tau / k_n, and the
-    iteration stops when the max-norm of successive displacement iterates
-    drops below cfg.eps. ``lam0`` warm-starts the multiplier.
+    ``u_base`` = K^-1 F(t_n) and ``Z`` = K^-1 S^T diag(g_a h_e), or None
+    without contact or friction: the step is then u_base, with zero
+    multipliers and one iteration. Returns (u, multipliers, iterations).
+    The multiplier update, with step ``rho_tilde``, uses the tangential
+    backward-difference velocity (u - u_prev)_tau / k_n, and the iteration
+    stops when the max-norm of successive displacement iterates drops below
+    cfg.eps. ``lam0`` warm-starts the multiplier.
     """
     space = system.space
-    m = len(space.contact_edges)
-    if m == 0 or g_a == 0.0:
-        return CRFunction(space, u_base), np.zeros(m), 1
+    if Z is None:
+        return CRFunction(space, u_base), np.zeros(len(space.contact_edges)), 1
     idx = space.contact_tangent_dof
     u, lam, it, _ = uzawa_iterate(u_base, Z, idx, g_a, u_prev.coeffs[idx], k_n,
                                   rho_tilde, cfg.eps, cfg.max_iter, lam0=lam0)
     return CRFunction(space, u), lam, it
-
-
-def _load_parts(space, loads: LoadSpec):
-    """(F_f, F_g): body-force and traction loads with unit time factors."""
-    body = replace(loads, g_coeffs=((0.0,) * 3, (0.0,) * 3), f_time="const")
-    traction = replace(loads, f=(0.0, 0.0), g_time="const")
-    return assemble_load(space, body, 0.0), assemble_load(space, traction, 0.0)
 
 
 def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
@@ -278,8 +271,10 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     ``stable_rho_tilde``, and the multiplier is warm-started from the
     previous step. A level costs
     one factorization, one block solve per ``_BLOCK`` contact edges for the
-    contact response Z and one two-column solve for the load responses U_f
-    and U_g; each step's u is checked against K u = F(t_n) - c(lambda_n).
+    contact response Z (skipped without contact or friction) and one
+    two-column solve for the responses U_0, U_1 to the affine load
+    F(t) = F_0 + t F_1; each step's u is checked against
+    K u = F(t_n) - c(lambda_n).
     """
     space = system.space
     u = CRFunction.zero(space)
@@ -293,22 +288,22 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
         Z = _contact_response(factor, idx, w)
         # uniform k: the stable step is the same for every time step
         rho_tilde = _optimal_rho(Z[idx], w, loads.g_a, k)
-    F_f, F_g = _load_parts(space, loads)
-    U_f, U_g = factor.solve(np.column_stack((F_f, F_g))).T
+    F_0 = assemble_load(space, loads, 0.0)
+    F_1 = assemble_load(space, loads, 1.0) - F_0
+    U_0, U_1 = factor.solve(np.column_stack((F_0, F_1))).T
 
     lam = np.zeros(m)
     displacements = [u]
     multipliers = [lam]
     iters = []
     for n, t_n in enumerate(grid.nodes[1:], start=1):
-        s_f, s_g = (LoadSpec.time_factor(name, t_n) for name in (loads.f_time, loads.g_time))
         try:
-            u, lam, it = uzawa_step_solve(system, s_f * U_f + s_g * U_g, Z, u, k, rho_tilde,
+            u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, u, k, rho_tilde,
                                           cfg, loads.g_a, lam0=lam)
         except UzawaError as exc:
             exc.step = n
             raise
-        factor.check(u.coeffs, s_f * F_f + s_g * F_g - friction_rhs(space, loads.g_a, lam))
+        factor.check(u.coeffs, F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, lam))
         displacements.append(u)
         multipliers.append(lam)
         iters.append(it)

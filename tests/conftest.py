@@ -71,7 +71,7 @@ def step_from_load(system, load, u_prev, k_n, cfg, g_a, factor=None, rho_tilde=N
     factor = SPDFactor(system.K) if factor is None else factor
     space = system.space
     Z = (_contact_response(factor, space.contact_tangent_dof, g_a * space.contact_edge_lengths)
-         if g_a else None)
+         if g_a and len(space.contact_tangent_dof) else None)
     if rho_tilde is None:
         rho_tilde = stable_rho_tilde(system, g_a, k_n, factor)
     return uzawa_step_solve(system, factor.solve(load), Z, u_prev, k_n, rho_tilde, cfg, g_a)

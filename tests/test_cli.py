@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from crcontact.assembly import LoadSpec
-from crcontact.analysis import ConvergenceRow
+from crcontact.analysis import ConvergenceRow, inter_mesh_error
 from crcontact.cli import (
     ConfigError,
     ProblemConfig,
+    build_meshes,
     example_51_config,
     format_table,
     load_config,
     main,
     run_convergence_study,
     run_single,
+    solve_level,
     write_csv,
 )
 from crcontact.mesh import BoundaryLabel, Domain
@@ -104,6 +106,27 @@ class TestConfigParsing:
         assert load_config(write_ini(tmp_path, text)) == example_51_config()
         with pytest.raises(ConfigError, match="solver.rho_tilde"):
             load_config(write_ini(tmp_path, text.replace("= auto", "= 0.5")))
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("eps = 1e-8", "esp = 1e-30\nmax_iters = 5", "solver.esp, solver.max_iters"),
+        (SIDE_KEYS, SIDE_KEYS + "\nsegments =\n    left 0 4 neumann\n    right 0 4 dirichlet\n"
+         "    bottom 0 4 contact\n    top 0 4 neumann",
+         "domain.left, domain.right, domain.bottom, domain.top"),
+    ], ids=["misspelled", "sides-beside-segments"])
+    def test_unread_keys_exit_1(self, tmp_path, capsys, old, new, named):
+        # a key the loader does not read must not leave its default in place unnoticed
+        ini = write_ini(tmp_path, PRESET_INI.replace(old, new))
+        with pytest.raises(ConfigError, match=f"unknown key\\(s\\) {named}$"):
+            load_config(ini)
+        assert main(["solve", "--config", ini]) == 1
+        assert f"config error: unknown key(s) {named}" in capsys.readouterr().err
+
+    def test_misspelled_traction_side_exit_1(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, PRESET_INI.replace("g_sides = left", "g_sides = leftt"))
+        with pytest.raises(ConfigError, match="loads: .*leftt"):
+            load_config(ini)
+        assert main(["solve", "--config", ini]) == 1
+        assert "config error: loads" in capsys.readouterr().err
 
     def test_no_dirichlet_side(self, tmp_path):
         text = PRESET_INI.replace("right = dirichlet", "right = neumann")
@@ -202,6 +225,17 @@ class TestConvergenceStudy:
         rows_max = run_convergence_study(cfg)
         assert rows_max[1].error >= small_rows[1].error - 1e-15
 
+    def test_max_error_mode_against_inter_mesh_error(self):
+        # the study's error loop against the one-shot norm, node by node
+        cfg = dataclasses.replace(example_51_config(), levels=2, error_mode="max")
+        error = run_convergence_study(cfg)[1].error
+        coarse, fine = (solve_level(cfg, mesh, level)[2]
+                        for level, mesh in enumerate(build_meshes(cfg, 2)))
+        ref = max(inter_mesh_error(uc, uf, cfg.material, cfg.rho)
+                  for uc, uf in zip(coarse.displacements, fine.displacements[::2], strict=True))
+        assert len(coarse.displacements) == cfg.N + 1
+        assert error == pytest.approx(ref, rel=1e-14, abs=0.0)
+
 
 class TestMain:
     def test_bad_config_path_exit_1(self, capsys):
@@ -237,6 +271,10 @@ class TestMain:
         assert "at time step 1;" in err
         tail = err.split("last increments:")[1].split(",")
         assert len(tail) == 5 and all(float(x) > 0 for x in tail)
+
+    def test_negative_level_exit_1(self, capsys):
+        assert main(["solve", "--preset", "example-5.1", "--level", "-1"]) == 1
+        assert "config error: solve: level must be nonnegative" in capsys.readouterr().err
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from crcontact.analysis import brute_force_vi_oracle, energy_norm
 from crcontact.assembly import assemble_load, assemble_stiffness
 from crcontact.cli import build_meshes
+from crcontact.mesh import BoundaryLabel, Domain, generate_structured
 from crcontact.solver import (
     SolverError,
     SPDFactor,
@@ -270,6 +271,23 @@ class TestMarch:
                          UzawaConfig())
             runs.append(np.concatenate([u.coeffs for u in traj.displacements]))
         assert np.array_equal(runs[0], runs[1])
+
+    def test_no_contact_side_is_one_linear_solve_per_step(self, config):
+        # bottom Neumann: no contact edge, so the preset's friction bound is inert
+        domain = Domain.rectangle(0.0, 4.0, 0.0, 4.0, left=BoundaryLabel.NEUMANN,
+                                  right=BoundaryLabel.DIRICHLET, bottom=BoundaryLabel.NEUMANN,
+                                  top=BoundaryLabel.NEUMANN)
+        space = build_space(generate_structured(domain, 2))
+        system = assemble_stiffness(space, config.material, config.rho)
+        assert len(space.contact_edges) == 0 and config.loads.g_a > 0
+        grid = TimeGrid(T=1.0, N=4)
+        traj = march(system, config.loads, grid, UzawaConfig())
+        assert all(lam.shape == (0,) for lam in traj.multipliers)
+        assert traj.uzawa_iters == [1] * grid.N
+        factor = SPDFactor(system.K)
+        for u, t_n in zip(traj.displacements[1:], grid.nodes[1:], strict=True):
+            ref = factor.solve(assemble_load(space, config.loads, t_n))
+            assert np.linalg.norm(u.coeffs - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_failure_reports_step(self, system2, config):
         # the stick regime: the preset's first step would converge within the cap

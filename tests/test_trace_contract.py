@@ -4,25 +4,38 @@
 "Class.method" per layer module); its ``Tracer.install`` raises on a name
 that no longer exists, which breaks the traced benchmark run.
 ``perfbench/worker.py`` imports crcontact names and reaches others through
-module aliases; a deleted one fails every benchmark run. Both files are
-loaded by path and only read.
+module aliases; a deleted one fails every benchmark run. Each run parses
+the INI text of ``perfbench/workloads.py::config_text``; a config rule that
+refuses it fails the run. The files are loaded by path and only read.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
+
+from crcontact.cli import load_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 WORKER = PERFBENCH / "worker.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 MISSING = object()
 
 
+def load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_name_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_by_path("perfbench_spans", SPANS)
     missing = []
     for layer, names in spans.TRACED.items():
         home = importlib.import_module(f"crcontact.{layer}")
@@ -75,3 +88,12 @@ def test_every_worker_name_resolves():
             missing.append(".".join([base.id] + chain[::-1]))
     assert {"cli", "cr_space", "solver"} <= aliases.keys() and reached, (aliases, reached)
     assert not missing, missing
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_every_workload_config_loads(tmp_path, seed):
+    workloads = load_by_path("perfbench_workloads", WORKLOADS)
+    for name in workloads.WORKLOADS:
+        path = tmp_path / f"{name}.ini"
+        path.write_text(workloads.config_text(name, seed))
+        assert load_config(str(path)).levels == workloads.WORKLOADS[name].levels
