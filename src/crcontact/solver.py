@@ -269,45 +269,46 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
 
     The march starts from rest, the multiplier step is the optimal one of
     ``stable_rho_tilde``, and the multiplier is warm-started from the
-    previous step. A level costs
-    one factorization, one block solve per ``_BLOCK`` contact edges for the
-    contact response Z (skipped without contact or friction) and one
-    two-column solve for the responses U_0, U_1 to the affine load
-    F(t) = F_0 + t F_1; each step's u is checked against
-    K u = F(t_n) - c(lambda_n).
+    previous step. A level costs one factorization, one block solve per
+    ``_BLOCK`` contact edges for the contact response Z (skipped without
+    contact or friction) and one two-column solve for the responses U_0, U_1
+    to the affine load F(t) = F_0 + t F_1; each step's u is checked against
+    K u = F(t_n) - c(lambda_n). Every node's displacement is allocated before
+    the factorization, so free heap memory goes to them and not to SuperLU's
+    mostly unwritten workspace, and the peak memory does not vary run to run.
     """
     space = system.space
-    u = CRFunction.zero(space)
+    coeffs = [np.empty(space.n_dofs_free) for _ in grid.nodes]
+    coeffs[0][:] = 0.0
+    u = CRFunction(space, coeffs[0])
     factor = SPDFactor(system.K)
     idx = space.contact_tangent_dof
     m = len(idx)
-    k = grid.k
     Z, rho_tilde = None, 1.0
     if m and loads.g_a != 0.0:
         w = loads.g_a * space.contact_edge_lengths
         Z = _contact_response(factor, idx, w)
         # uniform k: the stable step is the same for every time step
-        rho_tilde = _optimal_rho(Z[idx], w, loads.g_a, k)
+        rho_tilde = _optimal_rho(Z[idx], w, loads.g_a, grid.k)
     F_0 = assemble_load(space, loads, 0.0)
     F_1 = assemble_load(space, loads, 1.0) - F_0
     U_0, U_1 = factor.solve(np.column_stack((F_0, F_1))).T
 
     lam = np.zeros(m)
-    displacements = [u]
     multipliers = [lam]
     iters = []
     for n, t_n in enumerate(grid.nodes[1:], start=1):
         try:
-            u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, u, k, rho_tilde,
+            u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, u, grid.k, rho_tilde,
                                           cfg, loads.g_a, lam0=lam)
         except UzawaError as exc:
             exc.step = n
             raise
         factor.check(u.coeffs, F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, lam))
-        displacements.append(u)
+        coeffs[n][:] = u.coeffs
         multipliers.append(lam)
         iters.append(it)
         if log is not None:
             log(f"step {n}: t={t_n:.6g} uzawa_iters={it}")
-    return TrajectorySolution(grid=grid, displacements=displacements,
+    return TrajectorySolution(grid=grid, displacements=[CRFunction(space, c) for c in coeffs],
                               multipliers=multipliers, uzawa_iters=iters)
