@@ -53,8 +53,8 @@ class LoadSpec:
     componentwise affine in (x, y): g_i(x, y) = c0 + cx*x + cy*y. Each is
     scaled by its time factor, 1 ('const') or t ('linear'), so the load
     vector is affine in t: F(t) = F(0) + t (F(1) - F(0)). ``g_sides``
-    optionally restricts the traction to named rectangle sides (other
-    Neumann edges are traction free).
+    optionally restricts the traction to one or more named rectangle sides
+    (other Neumann edges are traction free).
     """
 
     f: tuple[float, float] = (0.0, 0.0)
@@ -71,6 +71,8 @@ class LoadSpec:
         for name in (self.f_time, self.g_time):
             if name not in _TIME_FACTORS:
                 raise AssemblyError(f"time factor must be 'const' or 'linear', got {name!r}")
+        if self.g_sides == ():
+            raise AssemblyError("no traction side named; leave g_sides unset for all sides")
         unknown = set(self.g_sides or ()) - set(SIDES)
         if unknown:
             raise AssemblyError(f"unknown traction side(s) {sorted(unknown)}, expected {SIDES}")

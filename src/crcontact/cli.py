@@ -335,6 +335,9 @@ def format_table(rows: list[ConvergenceRow]) -> str:
 # -- entry point -------------------------------------------------------------
 
 def _config_from_args(args) -> ProblemConfig:
+    # not an argparse exclusive group: argparse exits 2, the solver-failure code
+    if args.preset is not None and args.config is not None:
+        raise ConfigError("give --config or --preset, not both")
     if args.preset is not None:
         return PRESETS[args.preset]()
     if args.config is None:

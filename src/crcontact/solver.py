@@ -12,11 +12,15 @@ factors K (SuperLU in symmetric mode) and computes the contact response
 Z = K^-1 S^T diag(g_a h_e) (the Delassus operator of nonsmooth contact
 dynamics, solved in blocks of contact edges) and, in one two-column solve,
 the responses U_0, U_1 to the load at t = 0 and to its slope, since every
-load is affine in t: F(t) = F_0 + t F_1. A step then starts from
-u = U_0 + t_n U_1 - Z lambda and each iteration updates
-u <- u - Z (lambda_new - lambda): no sparse solve per step or iteration.
-The final u of every step is checked against K u = F(t_n) - c(lambda_n)
-with the factorization's backward-error test.
+load is affine in t: F(t) = F_0 + t F_1. With b = U_0 + t_n U_1, a step
+iterates on the m x m contact block M = S Z and the contact rows
+u_tau = (b - Z lambda)_tau, updating u_tau <- u_tau - M (lambda_new - lambda):
+no sparse solve per step or iteration, and no n-row work per iteration.
+The stopping test |Z dlambda|_inf < eps still reads all n rows; it is
+evaluated only once |M dlambda|_inf < eps, since the first bounds the
+second, and u = b - Z lambda is formed in that same pass over Z, once per
+step. The final u of every step is checked against
+K u = F(t_n) - c(lambda_n) with the factorization's backward-error test.
 """
 
 from __future__ import annotations
@@ -149,7 +153,7 @@ class SPDFactor:
 
 def projection_P(chi):
     """Clamp onto [-1, 1]: P(chi) = sup(-1, inf(1, chi))."""
-    return np.clip(chi, -1.0, 1.0)
+    return np.minimum(np.maximum(chi, -1.0), 1.0)  # np.clip costs twice as much per call
 
 
 # columns of the contact response solved together by ``_contact_response``
@@ -212,33 +216,45 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
 def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, tangent_idx: np.ndarray,
                   g_a: float, prev_tau: np.ndarray, k_n: float, rho_tilde: float,
                   eps: float, max_iter: int, lam0: Optional[np.ndarray] = None):
-    """Array-level Uzawa loop in contact space.
+    """Array-level Uzawa loop on the m x m contact block.
 
     With u_base = K^-1 F and Z = K^-1 S^T diag(g_a w), u = u_base - Z lambda
     solves K u = F - c(lambda), c_i = g_a * w_i * lambda_i on the tangential
-    rows. Each iteration sets lambda <- P(lambda + rho_tilde * g_a * velocity)
-    and u <- u - Z dlambda, and stops when the increment |Z dlambda|_inf drops
-    below eps. Starts from lambda = P(lam0), or zero when lam0 is None.
-    Returns (u, lambda, iterations, increment history).
+    rows. The multiplier update reads only the contact rows u_tau, so the
+    loop runs on M = Z[tangent_idx] and u_tau: each iteration sets
+    lambda <- P(lambda + rho_tilde * g_a * velocity) and u_tau <- u_tau - M
+    dlambda. It stops when the increment |Z dlambda|_inf over all n rows
+    drops below eps. That norm is at least |M dlambda|_inf, so Z dlambda is
+    formed only once |M dlambda|_inf < eps, together with Z lambda in one
+    two-column product; u = u_base - Z lambda is formed on stopping (or
+    failing). ``history`` holds |M dlambda|_inf per iteration, and
+    |Z dlambda|_inf at those candidates. Starts from lambda = P(lam0), or
+    zero when lam0 is None. Returns (u, lambda, iterations, history).
     """
     lam = (np.zeros(Z.shape[1]) if lam0 is None
            else projection_P(np.asarray(lam0, dtype=float)))
-    u = u_base - Z @ lam
+    # in Z's column order, M dlambda sums like the contact rows of Z dlambda
+    M = np.asfortranarray(Z[tangent_idx])
+    u_tau = u_base[tangent_idx] - M @ lam
     history = []
     for it in range(1, max_iter + 1):
-        vel_tau = (u[tangent_idx] - prev_tau) / k_n
+        vel_tau = (u_tau - prev_tau) / k_n
         lam_new = projection_P(lam + rho_tilde * g_a * vel_tau)
-        du = Z @ (lam_new - lam)
-        u = u - du
+        dlam = lam_new - lam
+        du_tau = M @ dlam
+        u_tau = u_tau - du_tau
         lam = lam_new
-        incr = float(np.max(np.abs(du)))
+        incr = float(np.abs(du_tau).max())
+        if incr < eps:  # a stop candidate: the n rows decide
+            du, z_lam = (Z @ np.column_stack((dlam, lam))).T
+            incr = float(np.abs(du).max())
         history.append(incr)
         if incr < eps:
-            return u, lam, it, history
+            return u_base - z_lam, lam, it, history
     raise UzawaError(
         f"Uzawa iteration failed to converge within {max_iter} iterations "
         f"(last increment {history[-1]:.3e})",
-        last_u=u, last_lam=lam, history=history)
+        last_u=u_base - Z @ lam, last_lam=lam, history=history)
 
 
 def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.ndarray],

@@ -167,6 +167,11 @@ class TestLoadSpec:
         with pytest.raises(AssemblyError, match="leftt"):
             LoadSpec(g_sides=("leftt",))
 
+    def test_rejects_empty_traction_sides(self):
+        # no side named would select no edge and drop the traction
+        with pytest.raises(AssemblyError, match="no traction side"):
+            LoadSpec(g_sides=())
+
     def test_affine_traction_evaluation(self):
         loads = LoadSpec(g_coeffs=((1.0, 2.0, -1.0), (0.5, 0.0, 3.0)), g_time="linear")
         pts = np.array([[1.0, 2.0], [0.0, 0.0]])

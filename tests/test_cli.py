@@ -128,6 +128,13 @@ class TestConfigParsing:
         assert main(["solve", "--config", ini]) == 1
         assert "config error: loads" in capsys.readouterr().err
 
+    def test_empty_traction_sides_exit_1(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, PRESET_INI.replace("g_sides = left", "g_sides ="))
+        with pytest.raises(ConfigError, match="loads: no traction side"):
+            load_config(ini)
+        assert main(["solve", "--config", ini]) == 1
+        assert "config error: loads" in capsys.readouterr().err
+
     def test_no_dirichlet_side(self, tmp_path):
         text = PRESET_INI.replace("right = dirichlet", "right = neumann")
         with pytest.raises(ConfigError, match="domain"):
@@ -244,6 +251,10 @@ class TestMain:
 
     def test_missing_config_and_preset_exit_1(self, capsys):
         assert main(["solve"]) == 1
+
+    def test_preset_and_config_exit_1(self, capsys):
+        assert main(["solve", "--preset", "example-5.1", "--config", "/nonexistent.ini"]) == 1
+        assert "config error: give --config or --preset, not both" in capsys.readouterr().err
 
     def test_solve_preset_exit_0(self, capsys, tmp_path):
         ini = write_ini(tmp_path, PRESET_INI.replace("N = 40", "N = 4"))

@@ -18,9 +18,11 @@ from crcontact.solver import (
     UzawaConfig,
     UzawaError,
     _contact_response,
+    _optimal_rho,
     march,
     projection_P,
     stable_rho_tilde,
+    uzawa_iterate,
 )
 from crcontact.space import CRFunction, build_space
 from conftest import random_cr, step_from_load
@@ -187,6 +189,61 @@ class TestUzawaStep:
         assert diff <= 1e-7 * scale
 
 
+def n_row_uzawa(u_base, Z, idx, g_a, prev_tau, k_n, rho_tilde, eps, max_iter):
+    """The loop over all n rows of u, as a reference: stop on |Z dlambda|_inf."""
+    u, lam = u_base.copy(), np.zeros(Z.shape[1])
+    for it in range(1, max_iter + 1):
+        lam_new = projection_P(lam + rho_tilde * g_a * (u[idx] - prev_tau) / k_n)
+        du = Z @ (lam_new - lam)
+        u, lam = u - du, lam_new
+        if np.max(np.abs(du)) < eps:
+            return u, lam, it
+    raise AssertionError("reference loop did not converge")
+
+
+class TestUzawaIterate:
+    """The loop runs on the contact block M = Z[idx], but stops on all rows of Z."""
+
+    @pytest.fixture
+    def problem(self):
+        # a synthetic SPD system whose rows off contact dominate Z dlambda
+        rng = np.random.default_rng(5)
+        n, idx, g_a, k_n = 12, np.array([1, 4, 7, 10]), 0.1, 0.1
+        w = g_a * rng.uniform(0.5, 1.5, len(idx))
+        K = random_spd(rng, n).toarray()
+        rhs = np.zeros((n, len(idx)))
+        rhs[idx, np.arange(len(idx))] = w
+        Z = np.asfortranarray(np.linalg.solve(K, rhs))
+        Z[np.setdiff1d(np.arange(n), idx)] *= 1e3
+        u_base = np.linalg.solve(K, rng.standard_normal(n))
+        # slip on the third edge, stick on the others
+        prev_tau = u_base[idx] - Z[idx] @ np.array([0.3, -0.5, 2.0, -0.1])
+        rho_tilde = _optimal_rho(Z[idx], w, g_a, k_n)
+        return u_base, Z, idx, g_a, prev_tau, k_n, rho_tilde
+
+    def test_stopping_rule_reads_all_rows(self, problem):
+        u_base, Z, idx, *_ = problem
+        eps = 1e-10
+        u, lam, it, history = uzawa_iterate(*problem, eps, 10000)
+        ref_u, ref_lam, ref_it = n_row_uzawa(*problem, eps, 10000)
+        # the contact rows alone would have stopped earlier
+        _, _, m_row_it = n_row_uzawa(u_base[idx], Z[idx], np.arange(len(idx)),
+                                     *problem[3:], eps, 10000)
+        assert m_row_it < ref_it
+        assert it == ref_it == len(history)
+        assert np.max(np.abs(lam - ref_lam)) <= 1e-14
+        assert np.max(np.abs(u - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
+        assert history[-1] < eps <= history[-2]
+
+    def test_failure_carries_n_vector(self, problem):
+        u_base, Z = problem[:2]
+        with pytest.raises(UzawaError) as exc_info:
+            uzawa_iterate(*problem, 1e-30, 5)
+        err = exc_info.value
+        assert len(err.history) == 5
+        assert np.array_equal(err.last_u, u_base - Z @ err.last_lam)
+
+
 class TestStableRhoTilde:
     def test_positive_and_scales_with_k(self, system2, config):
         r1 = stable_rho_tilde(system2, config.loads.g_a, 0.025)
@@ -351,6 +408,15 @@ def n_space_march(system, loads, grid, cfg):
 
 class TestContactSpaceMarch:
     """``march`` iterates in contact space; it must reproduce the n-space loop."""
+
+    @pytest.mark.parametrize("level,total,most", [(0, 1160, 29), (1, 6560, 82),
+                                                  (2, 27040, 169)])
+    def test_stick_regime_uzawa_counts(self, config, level, total, most):
+        loads = dataclasses.replace(config.loads, g_a=STICK_G_A)
+        space = build_space(build_meshes(config, level + 1)[-1])
+        system = assemble_stiffness(space, config.material, config.rho)
+        traj = march(system, loads, TimeGrid(T=config.T, N=config.N * 2**level), config.uzawa)
+        assert (sum(traj.uzawa_iters), max(traj.uzawa_iters)) == (total, most)
 
     @pytest.mark.parametrize("change", [
         {},  # the preset: slip at T
