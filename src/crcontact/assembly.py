@@ -164,7 +164,7 @@ def assemble_load(space: CRSpace, loads: LoadSpec, t: float) -> np.ndarray:
 
 def friction_value(space: CRSpace, g_a: float, v: CRFunction) -> float:
     """Friction functional: sum over contact edges of g_a h_e |v_tau(m_e)|."""
-    tau = v.tangential_contact_values()
+    tau = v.coeffs[space.contact_tangent_dof]
     return float(g_a * np.dot(space.contact_edge_lengths, np.abs(tau)))
 
 

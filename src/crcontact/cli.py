@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from crcontact.analysis import ConvergenceRow, EnergyNormEvaluator
-from crcontact.assembly import LoadSpec, assemble_stiffness
+from crcontact.assembly import AssemblyError, LoadSpec, assemble_stiffness
 from crcontact.material import MaterialModel
 from crcontact.mesh import (
     BoundaryLabel,
@@ -133,9 +133,12 @@ def load_config(path: str) -> ProblemConfig:
     A key that is not read is an error, so a misspelled key cannot fall
     back to its default unnoticed.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
     parser.optionxform = str  # keep key case: N (time steps) vs n (grid)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # no section header, a repeated key, ...
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     used = set()
@@ -152,20 +155,26 @@ def load_config(path: str) -> ProblemConfig:
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from exc
 
+    def real(raw):  # nan and inf would pass every range check
+        value = float(raw)
+        if not np.isfinite(value):
+            raise ValueError("not a finite number")
+        return value
+
     def floats(raw):
-        return tuple(float(x) for x in raw.split())
+        return tuple(real(x) for x in raw.split())
 
     try:
-        x_min = fetch("domain", "x_min", float)
-        x_max = fetch("domain", "x_max", float)
-        y_min = fetch("domain", "y_min", float)
-        y_max = fetch("domain", "y_max", float)
+        x_min = fetch("domain", "x_min", real)
+        x_max = fetch("domain", "x_max", real)
+        y_min = fetch("domain", "y_min", real)
+        y_max = fetch("domain", "y_max", real)
         if parser.has_option("domain", "segments"):
             segs = []
             for line in fetch("domain", "segments").strip().splitlines():
                 try:
                     side, lo, hi, label = line.split()
-                    segs.append(BoundarySegment(side, float(lo), float(hi),
+                    segs.append(BoundarySegment(side, real(lo), real(hi),
                                                 _LABELS[label.lower()]))
                 except (ValueError, KeyError) as exc:  # MeshError is a ValueError
                     raise ConfigError(f"domain.segments: bad line {line.strip()!r}: {exc!r}") from exc
@@ -191,9 +200,9 @@ def load_config(path: str) -> ProblemConfig:
             g_coeffs=(gx, gy),
             g_time=fetch("loads", "g_time", str, default="const"),
             g_sides=g_sides,
-            g_a=fetch("loads", "g_a", float, default=0.0),
+            g_a=fetch("loads", "g_a", real, default=0.0),
         )
-    except ValueError as exc:
+    except AssemblyError as exc:
         raise ConfigError(f"loads: {exc}") from exc
 
     # rho_tilde is computed; existing files say 'auto', and a number is refused, not ignored
@@ -201,15 +210,15 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError("solver.rho_tilde: the step is computed; only 'auto' is accepted")
 
     fields = dict(
-        E=fetch("material", "E", float),
-        nu=fetch("material", "nu", float),
+        E=fetch("material", "E", real),
+        nu=fetch("material", "nu", real),
         plane=fetch("material", "plane", str, default="strain"),
-        T=fetch("study", "T", float),
+        T=fetch("study", "T", real),
         N=fetch("study", "N", int),
         n=fetch("study", "n", int),
         levels=fetch("study", "levels", int, default=1),
-        rho=fetch("solver", "rho", float, default=10.0),
-        eps=fetch("solver", "eps", float, default=1e-8),
+        rho=fetch("solver", "rho", real, default=10.0),
+        eps=fetch("solver", "eps", real, default=1e-8),
         max_iter=fetch("solver", "max_iter", int, default=10000),
         error_mode=fetch("study", "error_mode", str, default="final"),
     )

@@ -11,20 +11,6 @@ class MaterialError(ValueError):
     """Raised for physically inadmissible material parameters."""
 
 
-def lame_from_engineering(E: float, nu: float) -> tuple[float, float]:
-    """Plane-strain Lame coefficients from Young's modulus and Poisson ratio.
-
-    Uses the direct 3D formulas mu = E/(2(1+nu)), lambda = E nu/((1+nu)(1-2nu)).
-    """
-    if E <= 0:
-        raise MaterialError(f"Young's modulus must be positive, got {E}")
-    if not 0 <= nu < 0.5:
-        raise MaterialError(f"Poisson ratio must lie in [0, 0.5), got {nu}")
-    mu = E / (2.0 * (1.0 + nu))
-    lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    return lam, mu
-
-
 @dataclass(frozen=True)
 class MaterialModel:
     """Isotropic material with both engineering and Lame parameters.
@@ -43,7 +29,12 @@ class MaterialModel:
     def from_engineering(cls, E: float, nu: float, plane: str = "strain") -> "MaterialModel":
         if plane not in ("strain", "stress"):
             raise MaterialError(f"plane must be 'strain' or 'stress', got {plane!r}")
-        lam, mu = lame_from_engineering(E, nu)
+        if E <= 0:
+            raise MaterialError(f"Young's modulus must be positive, got {E}")
+        if not 0 <= nu < 0.5:
+            raise MaterialError(f"Poisson ratio must lie in [0, 0.5), got {nu}")
+        mu = E / (2.0 * (1.0 + nu))  # the 3D Lame parameters
+        lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
         if plane == "stress":
             lam = 2.0 * lam * mu / (lam + 2.0 * mu)
         return cls(E=E, nu=nu, lam=lam, mu=mu, plane=plane)

@@ -107,12 +107,12 @@ class Mesh:
     edge_lengths : (ne,) edge lengths
     areas : (nt,) triangle areas
     parent_map : (nt,) int array mapping each triangle to its coarse parent,
-        present only on refined meshes
+        present only on refined meshes, whose children of parent t are 4t..4t+3
     parent_mesh : the mesh this one was refined from, or None; a refined
         mesh inherits its boundary labels from it (see ``refine_uniform``)
     """
 
-    def __init__(self, vertices, triangles, domain, parent_map=None, parent_mesh=None):
+    def __init__(self, vertices, triangles, domain, parent_mesh=None):
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -136,8 +136,10 @@ class Mesh:
         self.triangles = t
         self.areas = signed
         self.domain = domain
-        self.parent_map = None if parent_map is None else np.asarray(parent_map, dtype=np.int64)
         self.parent_mesh = parent_mesh
+        if parent_mesh is not None and len(t) != 4 * parent_mesh.n_triangles:
+            raise MeshError(f"refined mesh has {len(t)} triangles, not 4 x {parent_mesh.n_triangles}")
+        self.parent_map = None if parent_mesh is None else np.arange(len(t)) // 4
 
         self._build_edges()
         self._classify_edges()
@@ -272,8 +274,8 @@ def generate_structured(domain: Domain, n: int) -> Mesh:
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Red refinement: split each triangle into 4 congruent children.
 
-    Boundary labels are inherited from the parent edges; the parent map
-    records which coarse triangle each child came from.
+    Boundary labels are inherited from the parent edges; the children of
+    triangle t are 4t..4t+3, which the refined mesh's parent map records.
     """
     nv = mesh.n_vertices
     midvert = nv + np.arange(mesh.n_edges)  # one new vertex per edge
@@ -289,9 +291,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     children[1::4] = np.column_stack([m2, v1, m0])
     children[2::4] = np.column_stack([m1, m0, v2])
     children[3::4] = np.column_stack([m0, m1, m2])
-    parent_map = np.repeat(np.arange(mesh.n_triangles), 4)
-
-    return Mesh(vertices, children, mesh.domain, parent_map=parent_map, parent_mesh=mesh)
+    return Mesh(vertices, children, mesh.domain, parent_mesh=mesh)
 
 
 def edge_sets(mesh: Mesh) -> EdgeSets:

@@ -71,7 +71,6 @@ class CRSpace:
     local_dofs : (nt, 3, 2) free DOF indices per triangle / local edge / comp
     contact_edges : indices of contact edges
     contact_tangent_dof : free DOF of the tangential component per contact edge
-    contact_tangent_axis : 0 or 1 per contact edge (axis the edge runs along)
     n_dofs_reported : 2 x (#edges - #Dirichlet edges)
     n_dofs_free : after eliminating the contact normal components
     """
@@ -90,15 +89,14 @@ class CRSpace:
         horizontal = np.abs(dv[:, 1]) <= tol  # tangent x, normal y constrained
         if not np.all(horizontal | (np.abs(dv[:, 0]) <= tol)):
             raise MeshError("contact edges must be axis-aligned")
-        axis = np.where(horizontal, 0, 1)
         count = np.full(mesh.n_edges, 2, dtype=np.int64)
         count[labels == BoundaryLabel.DIRICHLET] = 0
         count[contact] = 1
         first = np.cumsum(count) - count
         dof_x = np.where(count == 2, first, -1)
         dof_y = np.where(count == 2, first + 1, -1)
-        dof_x[contact[axis == 0]] = first[contact[axis == 0]]
-        dof_y[contact[axis == 1]] = first[contact[axis == 1]]
+        dof_x[contact[horizontal]] = first[contact[horizontal]]
+        dof_y[contact[~horizontal]] = first[contact[~horizontal]]
 
         self.mesh = mesh
         self.dof_x = dof_x
@@ -108,12 +106,11 @@ class CRSpace:
         self.n_dofs_reported = 2 * (mesh.n_edges - n_dirichlet)
         self.contact_edges = contact
         self.contact_tangent_dof = first[contact]
-        self.contact_tangent_axis = axis
 
         te = mesh.tri_edges
         self.local_dofs = np.stack([dof_x[te], dof_y[te]], axis=2)
         for arr in (self.dof_x, self.dof_y, self.local_dofs, self.contact_edges,
-                    self.contact_tangent_dof, self.contact_tangent_axis):
+                    self.contact_tangent_dof):
             arr.setflags(write=False)
 
     @property
@@ -190,26 +187,10 @@ class CRFunction:
         grads, _ = cr_gradients(mesh.vertices[mesh.triangles])  # (nt, 3, 2)
         return np.swapaxes(self._midpoint_values(), 1, 2) @ grads
 
-    def tangential_contact_values(self) -> np.ndarray:
-        """Tangential midpoint values on the contact edges."""
-        return self.coeffs[self.space.contact_tangent_dof]
-
-    def __add__(self, other: "CRFunction") -> "CRFunction":
-        self._check_same_space(other)
-        return CRFunction(self.space, self.coeffs + other.coeffs)
-
     def __sub__(self, other: "CRFunction") -> "CRFunction":
-        self._check_same_space(other)
-        return CRFunction(self.space, self.coeffs - other.coeffs)
-
-    def __mul__(self, alpha: float) -> "CRFunction":
-        return CRFunction(self.space, alpha * self.coeffs)
-
-    __rmul__ = __mul__
-
-    def _check_same_space(self, other):
         if other.space is not self.space:
             raise ValueError("operands live on different CR spaces")
+        return CRFunction(self.space, self.coeffs - other.coeffs)
 
 
 def interpolate_cr(v, space: CRSpace) -> CRFunction:
@@ -240,7 +221,7 @@ def prolongation_matrix(coarse_space: CRSpace, fine_space: CRSpace):
     import scipy.sparse as sp
 
     fine_mesh = fine_space.mesh
-    if fine_mesh.parent_mesh is not coarse_space.mesh or fine_mesh.parent_map is None:
+    if fine_mesh.parent_mesh is not coarse_space.mesh:
         raise ValueError("fine space is not a uniform refinement of the coarse space")
     cached = getattr(fine_space, "_prolongation_cache", None)
     if cached is not None and cached[0] is coarse_space:

@@ -16,7 +16,7 @@ from crcontact.assembly import (
 )
 from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel
-from crcontact.space import cr_values, interpolate_cr
+from crcontact.space import CRFunction, cr_values, interpolate_cr
 from conftest import random_cr
 
 UNIT_MAT = MaterialModel(E=1.0, nu=0.0, lam=1.0, mu=1.0)
@@ -243,7 +243,6 @@ class TestFriction:
 
     def test_single_edge_arithmetic(self, space2, config):
         # contact edges on the 2x2 grid have length 2
-        from crcontact.space import CRFunction
         v = CRFunction.zero(space2)
         coeffs = v.coeffs.copy()
         coeffs[space2.contact_tangent_dof[0]] = 1.0
@@ -256,14 +255,15 @@ class TestFriction:
         v = random_cr(space2, rng)
         j = friction_value(space2, 0.0012, v)
         for alpha in (-3.0, 0.5, 2.0):
-            assert friction_value(space2, 0.0012, alpha * v) == pytest.approx(
+            scaled = CRFunction(space2, alpha * v.coeffs)
+            assert friction_value(space2, 0.0012, scaled) == pytest.approx(
                 abs(alpha) * j, rel=1e-13)
 
     def test_convexity(self, space2):
         rng = np.random.default_rng(9)
         for _ in range(20):
             v, w = random_cr(space2, rng), random_cr(space2, rng)
-            mid = friction_value(space2, 0.0012, 0.5 * (v + w))
+            mid = friction_value(space2, 0.0012, CRFunction(space2, 0.5 * (v.coeffs + w.coeffs)))
             avg = 0.5 * (friction_value(space2, 0.0012, v)
                          + friction_value(space2, 0.0012, w))
             assert mid <= avg + 1e-15

@@ -81,6 +81,35 @@ class TestConfigParsing:
         assert main(["solve", "--config", ini]) == 1
         assert "config error: domain.segments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,named", [
+        ("E = 200\n" + PRESET_INI, "no section headers"),
+        (PRESET_INI.replace("E = 200\n", "E = 200\nE = 300\n"), "option 'E' in section 'material'"),
+        (PRESET_INI.replace("eps = 1e-8", "eps = 5%"), "solver.eps: cannot parse '5%'"),
+    ], ids=["no-section-header", "duplicate-key", "percent-sign"])
+    def test_malformed_ini_exit_1(self, tmp_path, capsys, text, named):
+        ini = write_ini(tmp_path, text)
+        with pytest.raises(ConfigError, match=named):
+            load_config(ini)
+        assert main(["solve", "--config", ini]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("E = 200", "E = nan", "material.E"),
+        ("eps = 1e-8", "eps = nan", "solver.eps"),
+        ("T = 1\n", "T = inf\n", "study.T"),
+        ("g_a = 0.0012", "g_a = nan", "loads.g_a"),
+        ("gx = 0.1 0 -0.02", "gx = 0.1 -inf -0.02", "loads.gx"),
+        (SIDE_KEYS, "segments =\n    left 0 inf neumann\n    right 0 4 dirichlet\n"
+         "    bottom 0 4 contact\n    top 0 4 neumann", "domain.segments"),
+    ], ids=["E", "eps", "T", "g_a", "gx", "segments"])
+    def test_non_finite_number_exit_1(self, tmp_path, capsys, old, new, named):
+        ini = write_ini(tmp_path, PRESET_INI.replace(old, new))
+        with pytest.raises(ConfigError, match=named):
+            load_config(ini)
+        assert main(["solve", "--config", ini]) == 1
+        assert f"config error: {named}" in capsys.readouterr().err
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")

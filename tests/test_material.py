@@ -4,36 +4,36 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crcontact.material import MaterialError, MaterialModel, lame_from_engineering
+from crcontact.material import MaterialError, MaterialModel
 
 
 class TestLameConversion:
     def test_reference_values(self):
         # E = 200, nu = 0.3: mu = 100/1.3, lam = 60/0.52
-        lam, mu = lame_from_engineering(200.0, 0.3)
-        assert mu == pytest.approx(76.923076923076923, rel=1e-14)
-        assert lam == pytest.approx(115.38461538461539, rel=1e-14)
+        mat = MaterialModel.from_engineering(200.0, 0.3)
+        assert mat.mu == pytest.approx(76.923076923076923, rel=1e-14)
+        assert mat.lam == pytest.approx(115.38461538461539, rel=1e-14)
 
     def test_zero_poisson(self):
-        lam, mu = lame_from_engineering(1.0, 0.0)
-        assert lam == 0.0
-        assert mu == 0.5
+        mat = MaterialModel.from_engineering(1.0, 0.0)
+        assert mat.lam == 0.0
+        assert mat.mu == 0.5
 
     @pytest.mark.parametrize("nu", [0.0, 0.1, 0.25, 0.4, 0.49])
     def test_shear_normalization(self, nu):
         # E = 2(1 + nu) makes mu exactly 1
-        lam, mu = lame_from_engineering(2.0 * (1.0 + nu), nu)
-        assert mu == pytest.approx(1.0, rel=1e-14)
+        mat = MaterialModel.from_engineering(2.0 * (1.0 + nu), nu)
+        assert mat.mu == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("nu", [0.5, 0.6, -0.1])
     def test_rejects_bad_poisson(self, nu):
         with pytest.raises(MaterialError):
-            lame_from_engineering(200.0, nu)
+            MaterialModel.from_engineering(200.0, nu)
 
     @pytest.mark.parametrize("E", [0.0, -5.0])
     def test_rejects_bad_modulus(self, E):
         with pytest.raises(MaterialError):
-            lame_from_engineering(E, 0.3)
+            MaterialModel.from_engineering(E, 0.3)
 
     def test_plane_stress_reduction(self):
         strain_model = MaterialModel.from_engineering(200.0, 0.3, "strain")

@@ -192,11 +192,16 @@ class TestRefineUniform:
         direct = generate_structured(dom, 16)
         assert not np.array_equal(np.sort(direct.edge_labels), np.sort(coarse.edge_labels))
 
-    def test_label_mismatch_raises(self, mesh2, mesh4, refined2):
-        # refined2's boundary edges are not children of mesh4's edges
+    def test_label_mismatch_raises(self, mesh2, mesh4):
+        # mesh4 has four times mesh2's triangles, but its grid numbering
+        # does not make its boundary edges children of mesh2's edges
         with pytest.raises(MeshError, match="no inherited label"):
-            Mesh(refined2.vertices, refined2.triangles, mesh2.domain,
-                 parent_map=refined2.parent_map, parent_mesh=mesh4)
+            Mesh(mesh4.vertices, mesh4.triangles, mesh2.domain, parent_mesh=mesh2)
+
+    def test_parent_needs_four_times_the_triangles(self, mesh2, mesh4, refined2):
+        # refined2 has 32 triangles; mesh4 as a parent would need 128
+        with pytest.raises(MeshError, match="4 x 32"):
+            Mesh(refined2.vertices, refined2.triangles, mesh2.domain, parent_mesh=mesh4)
 
     def test_two_refinements_match_direct_generation(self, domain, mesh2):
         twice = refine_uniform(refine_uniform(mesh2))
