@@ -66,8 +66,10 @@ class LoadSpec:
     g_a: float = 0.0
 
     def __post_init__(self):
-        if self.g_a < 0:
-            raise AssemblyError(f"friction bound must be nonnegative, got {self.g_a}")
+        if not 0 <= self.g_a < np.inf:
+            raise AssemblyError(f"friction bound must be nonnegative and finite, got {self.g_a}")
+        if len(self.f) != 2 or [len(row) for row in self.g_coeffs] != [3, 3]:
+            raise AssemblyError("f needs 2 entries, gx and gy need 3 (c0 cx cy)")
         for name in (self.f_time, self.g_time):
             if name not in _TIME_FACTORS:
                 raise AssemblyError(f"time factor must be 'const' or 'linear', got {name!r}")

@@ -18,14 +18,13 @@ from typing import Optional
 import numpy as np
 
 from crcontact.analysis import ConvergenceRow, EnergyNormEvaluator
-from crcontact.assembly import AssemblyError, LoadSpec, assemble_stiffness
+from crcontact.assembly import LoadSpec, assemble_stiffness
 from crcontact.material import MaterialModel
 from crcontact.mesh import (
     BoundaryLabel,
     BoundarySegment,
     Domain,
     Mesh,
-    MeshError,
     generate_structured,
     refine_uniform,
 )
@@ -48,48 +47,34 @@ class ProblemConfig:
     """Everything needed to run a solve or a refinement study."""
 
     domain: Domain
-    E: float
-    nu: float
-    plane: str
+    material: MaterialModel
     loads: LoadSpec
     T: float
     N: int  # time steps on the coarsest level
     n: int  # grid subdivisions on the coarsest level
-    levels: int
-    rho: float
-    eps: float = 1e-8
-    max_iter: int = 10000
+    levels: int = 1
+    rho: float = 10.0
+    uzawa: UzawaConfig = UzawaConfig()
     error_mode: str = "final"  # or "max" over shared time nodes
 
     def __post_init__(self):
-        # the time grid, the Uzawa parameters and the material state their
-        # own rules; only the rules of this config are checked here
+        # the domain, material, loads and Uzawa parameters check their own
+        # rules; only the rules of this config are checked here
         problems = []
-        for section, build in (("study", lambda: TimeGrid(self.T, self.N)),
-                               ("solver", lambda: self.uzawa),
-                               ("material", lambda: self.material)):
-            try:
-                build()
-            except ValueError as exc:
-                problems.append(f"{section}: {exc}")
-        if self.n < 1:
+        try:
+            TimeGrid(self.T, self.N)
+        except ValueError as exc:
+            problems.append(f"study: {exc}")
+        if not 1 <= self.n < np.inf:
             problems.append("study: n must be at least 1")
-        if self.levels < 1:
+        if not 1 <= self.levels < np.inf:
             problems.append("study: levels must be at least 1")
         if self.error_mode not in ("final", "max"):
             problems.append("study: error_mode must be 'final' or 'max'")
-        if self.rho <= 0:
-            problems.append("solver: rho must be positive")
+        if not 0 < self.rho < np.inf:
+            problems.append("solver: rho must be positive and finite")
         if problems:
             raise ConfigError("; ".join(problems))
-
-    @property
-    def material(self) -> MaterialModel:
-        return MaterialModel.from_engineering(self.E, self.nu, self.plane)
-
-    @property
-    def uzawa(self) -> UzawaConfig:
-        return UzawaConfig(eps=self.eps, max_iter=self.max_iter)
 
 
 def example_51_config() -> ProblemConfig:
@@ -97,6 +82,7 @@ def example_51_config() -> ProblemConfig:
 
     Square (0,4)^2, clamped on the right, ramped traction on the left,
     traction-free top, contact with friction bound 0.0012 on the bottom.
+    rho and the Uzawa parameters are the defaults.
     """
     domain = Domain.rectangle(
         0.0, 4.0, 0.0, 4.0,
@@ -106,15 +92,14 @@ def example_51_config() -> ProblemConfig:
         top=BoundaryLabel.NEUMANN,
     )
     loads = LoadSpec(
-        f=(0.0, 0.0),
         g_coeffs=((0.1, 0.0, -0.02), (-0.01, 0.0, 0.0)),  # (0.02(5-y), -0.01) per unit time
         g_time="linear",
         g_sides=("left",),
         g_a=0.0012,
     )
     return ProblemConfig(
-        domain=domain, E=200.0, nu=0.3, plane="strain", loads=loads,
-        T=1.0, N=40, n=2, levels=5, rho=10.0, eps=1e-8, max_iter=10000,
+        domain=domain, material=MaterialModel.from_engineering(200.0, 0.3), loads=loads,
+        T=1.0, N=40, n=2, levels=5,
     )
 
 
@@ -127,35 +112,54 @@ _LABELS = {
 }
 
 
+def _build(section, make, *args, **kwargs):
+    """Call a value type; the ValueError of a rule it breaks names the section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:  # MeshError, MaterialError, AssemblyError, ...
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def load_config(path: str) -> ProblemConfig:
     """Parse an INI config file into a validated ProblemConfig.
 
-    A key that is not read is an error, so a misspelled key cannot fall
-    back to its default unnoticed.
+    Only the keys the file gives are passed on, so every default is the
+    one its dataclass states. A key that is not read is an error, so a
+    misspelled key cannot fall back to its default unnoticed.
     """
     parser = configparser.ConfigParser(interpolation=None)  # values are literal
     parser.optionxform = str  # keep key case: N (time steps) vs n (grid)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:  # no section header, a repeated key, ...
         raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: not UTF-8 ({exc.reason} "
+                          f"at byte {exc.start})") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     used = set()
 
-    def fetch(section, key, conv=str, default=None):
-        used.add((section, key))
-        if not parser.has_option(section, key):
-            if default is not None:
-                return default
-            raise ConfigError(f"{section}: missing required key {key!r}")
-        raw = parser.get(section, key)
-        try:
-            return conv(raw)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from exc
+    def given(section, **convs):
+        """The keys of section that the file gives, each passed through its conv."""
+        values = {}
+        for key, conv in convs.items():
+            used.add((section, key))
+            if parser.has_option(section, key):
+                raw = parser.get(section, key)
+                try:
+                    values[key] = conv(raw)
+                except (ValueError, KeyError) as exc:
+                    raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from exc
+        return values
 
-    def real(raw):  # nan and inf would pass every range check
+    def fetch(section, key, conv=str):
+        values = given(section, **{key: conv})
+        if key not in values:
+            raise ConfigError(f"{section}: missing required key {key!r}")
+        return values[key]
+
+    def real(raw):  # the value types refuse nan and inf too, but cannot name the key
         value = float(raw)
         if not np.isfinite(value):
             raise ValueError("not a finite number")
@@ -164,69 +168,44 @@ def load_config(path: str) -> ProblemConfig:
     def floats(raw):
         return tuple(real(x) for x in raw.split())
 
-    try:
-        x_min = fetch("domain", "x_min", real)
-        x_max = fetch("domain", "x_max", real)
-        y_min = fetch("domain", "y_min", real)
-        y_max = fetch("domain", "y_max", real)
-        if parser.has_option("domain", "segments"):
-            segs = []
-            for line in fetch("domain", "segments").strip().splitlines():
-                try:
-                    side, lo, hi, label = line.split()
-                    segs.append(BoundarySegment(side, real(lo), real(hi),
-                                                _LABELS[label.lower()]))
-                except (ValueError, KeyError) as exc:  # MeshError is a ValueError
-                    raise ConfigError(f"domain.segments: bad line {line.strip()!r}: {exc!r}") from exc
-            domain = Domain(x_min, x_max, y_min, y_max, tuple(segs))
-        else:
-            sides = {s: fetch("domain", s, lambda r: _LABELS[r.lower()])
-                     for s in ("left", "right", "bottom", "top")}
-            domain = Domain.rectangle(x_min, x_max, y_min, y_max, **sides)
-    except MeshError as exc:
-        raise ConfigError(f"domain: {exc}") from exc
+    bounds = [fetch("domain", key, real) for key in ("x_min", "x_max", "y_min", "y_max")]
+    if parser.has_option("domain", "segments"):
+        segs = []
+        for line in fetch("domain", "segments").strip().splitlines():
+            try:
+                side, lo, hi, label = line.split()
+                segs.append(BoundarySegment(side, real(lo), real(hi), _LABELS[label.lower()]))
+            except (ValueError, KeyError) as exc:  # MeshError is a ValueError
+                raise ConfigError(f"domain.segments: bad line {line.strip()!r}: {exc!r}") from exc
+        domain = _build("domain", Domain, *bounds, tuple(segs))
+    else:
+        sides = {s: fetch("domain", s, lambda r: _LABELS[r.lower()])
+                 for s in ("left", "right", "bottom", "top")}
+        domain = _build("domain", Domain.rectangle, *bounds, **sides)
 
-    f = fetch("loads", "f", floats, default=(0.0, 0.0))
-    gx = fetch("loads", "gx", floats, default=(0.0, 0.0, 0.0))
-    gy = fetch("loads", "gy", floats, default=(0.0, 0.0, 0.0))
-    if len(f) != 2 or len(gx) != 3 or len(gy) != 3:
-        raise ConfigError("loads: f needs 2 entries, gx and gy need 3 (c0 cx cy)")
-    g_sides_raw = fetch("loads", "g_sides", str, default="all")
-    g_sides = None if g_sides_raw == "all" else tuple(g_sides_raw.split())
-    try:
-        loads = LoadSpec(
-            f=f,
-            f_time=fetch("loads", "f_time", str, default="const"),
-            g_coeffs=(gx, gy),
-            g_time=fetch("loads", "g_time", str, default="const"),
-            g_sides=g_sides,
-            g_a=fetch("loads", "g_a", real, default=0.0),
-        )
-    except AssemblyError as exc:
-        raise ConfigError(f"loads: {exc}") from exc
+    rows = given("loads", gx=floats, gy=floats)  # the two rows of LoadSpec.g_coeffs
+    g_coeffs = (rows.get("gx", LoadSpec.g_coeffs[0]), rows.get("gy", LoadSpec.g_coeffs[1]))
+    loads = _build("loads", LoadSpec, g_coeffs=g_coeffs, **given(
+        "loads", f=floats, f_time=str, g_time=str, g_a=real,
+        g_sides=lambda raw: None if raw == "all" else tuple(raw.split())))
 
     # rho_tilde is computed; existing files say 'auto', and a number is refused, not ignored
-    if fetch("solver", "rho_tilde", default="auto") != "auto":
+    if given("solver", rho_tilde=str).get("rho_tilde", "auto") != "auto":
         raise ConfigError("solver.rho_tilde: the step is computed; only 'auto' is accepted")
 
-    fields = dict(
-        E=fetch("material", "E", real),
-        nu=fetch("material", "nu", real),
-        plane=fetch("material", "plane", str, default="strain"),
-        T=fetch("study", "T", real),
-        N=fetch("study", "N", int),
-        n=fetch("study", "n", int),
-        levels=fetch("study", "levels", int, default=1),
-        rho=fetch("solver", "rho", real, default=10.0),
-        eps=fetch("solver", "eps", real, default=1e-8),
-        max_iter=fetch("solver", "max_iter", int, default=10000),
-        error_mode=fetch("study", "error_mode", str, default="final"),
-    )
+    material = dict(E=fetch("material", "E", real), nu=fetch("material", "nu", real),
+                    **given("material", plane=str))
+    uzawa = given("solver", eps=real, max_iter=int)
+    fields = dict(T=fetch("study", "T", real), N=fetch("study", "N", int),
+                  n=fetch("study", "n", int), **given("study", levels=int, error_mode=str),
+                  **given("solver", rho=real))
     unread = [f"{section}.{key}" for section in parser.sections()
               for key in parser[section] if (section, key) not in used]
     if unread:
         raise ConfigError(f"unknown key(s) {', '.join(unread)}")
-    return ProblemConfig(domain=domain, loads=loads, **fields)
+    return ProblemConfig(domain=domain, loads=loads,
+                         material=_build("material", MaterialModel.from_engineering, **material),
+                         uzawa=_build("solver", UzawaConfig, **uzawa), **fields)
 
 
 # -- runners ---------------------------------------------------------------

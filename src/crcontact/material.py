@@ -29,8 +29,8 @@ class MaterialModel:
     def from_engineering(cls, E: float, nu: float, plane: str = "strain") -> "MaterialModel":
         if plane not in ("strain", "stress"):
             raise MaterialError(f"plane must be 'strain' or 'stress', got {plane!r}")
-        if E <= 0:
-            raise MaterialError(f"Young's modulus must be positive, got {E}")
+        if not 0 < E < np.inf:
+            raise MaterialError(f"Young's modulus must be positive and finite, got {E}")
         if not 0 <= nu < 0.5:
             raise MaterialError(f"Poisson ratio must lie in [0, 0.5), got {nu}")
         mu = E / (2.0 * (1.0 + nu))  # the 3D Lame parameters

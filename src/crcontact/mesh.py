@@ -60,8 +60,9 @@ class Domain:
     boundary_spec: tuple[BoundarySegment, ...]
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise MeshError("domain must have positive extent in both directions")
+        if not (-np.inf < self.x_min < self.x_max < np.inf
+                and -np.inf < self.y_min < self.y_max < np.inf):
+            raise MeshError("domain must have finite, positive extent in both directions")
         if not any(s.label == BoundaryLabel.DIRICHLET for s in self.boundary_spec):
             raise MeshError("the Dirichlet boundary part must have positive length")
 

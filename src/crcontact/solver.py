@@ -63,10 +63,10 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if self.N < 1:
+        if not 1 <= self.N < np.inf:
             raise ValueError("need at least one time step")
-        if self.T <= 0:
-            raise ValueError("final time must be positive")
+        if not 0 < self.T < np.inf:
+            raise ValueError("final time must be positive and finite")
 
     @property
     def k(self) -> float:
@@ -89,8 +89,8 @@ class UzawaConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.eps <= 0 or self.max_iter < 1:
-            raise ValueError("need eps > 0 and max_iter >= 1")
+        if not (0 < self.eps < np.inf and 1 <= self.max_iter < np.inf):
+            raise ValueError("need finite eps > 0 and max_iter >= 1")
 
 
 @dataclass

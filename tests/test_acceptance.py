@@ -34,6 +34,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import brentq
 
 from crcontact.analysis import (
     EnergyNormEvaluator,
@@ -87,7 +88,7 @@ def level1_run():
     1e-8 classification threshold (the production default 1e-8 stops once
     displacement increments - not velocities - reach 1e-8).
     """
-    cfg = dataclasses.replace(example_51_config(), eps=1e-12)
+    cfg = dataclasses.replace(example_51_config(), uzawa=UzawaConfig(eps=1e-12))
     meshes = build_meshes(cfg, 2)
     space, system, traj = solve_level(cfg, meshes[1], 1)
     return cfg, space, system, traj
@@ -122,6 +123,29 @@ def test_criterion_2_spatial_orders(table51_rows):
            f"{'ok' if rising else 'OUT'}), "
            + ", ".join(f"{o:.4f}" for o in asymptotic)
            + f" vs band [0.8, 1.1] ({'ok' if in_band else 'OUT'})")
+
+
+def test_clamped_free_corner_exponent():
+    """Why the observed orders of criteria 2 and 3 stay below 1.
+
+    At (4, 4) the clamped right side meets the traction-free top at a right
+    angle. The leading exponent of u ~ r^lambda there is the root of
+    Williams' characteristic equation kappa sin^2(lambda w) = (kappa + 1)^2 / 4
+    - lambda^2 sin^2 w with w = pi/2 and, in plane strain, kappa = 3 - 4 nu
+    (M. L. Williams, J. Appl. Mech. 19, 1952). It is below 1, so u is not in
+    H^2 near that corner and the asymptotic energy-error order on uniform
+    meshes is lambda_1, not 1.
+    """
+    material = example_51_config().material
+    assert material.plane == "strain"
+    kappa = 3.0 - 4.0 * material.nu
+
+    def williams(lam):
+        return kappa * np.sin(lam * np.pi / 2) ** 2 - ((kappa + 1) ** 2 / 4 - lam**2)
+
+    # williams(0) = -(kappa + 1)^2 / 4 < 0 < williams(1) = (3 - kappa)(kappa + 1) / 4
+    lam1 = brentq(williams, 0.0, 1.0, xtol=1e-14)
+    assert lam1 == pytest.approx(0.7112, abs=5e-5)
 
 
 def test_criterion_3_temporal_schedule(table52_rows):

@@ -158,6 +158,22 @@ class TestLoadSpec:
         with pytest.raises(AssemblyError):
             LoadSpec(g_a=-1.0)
 
+    @pytest.mark.parametrize("g_a", [np.nan, np.inf])
+    def test_rejects_non_finite_friction_bound(self, g_a):
+        with pytest.raises(AssemblyError, match="friction bound"):
+            LoadSpec(g_a=g_a)
+
+    @pytest.mark.parametrize("change", [
+        dict(f=(0.0,)), dict(f=(0.0, 0.0, 0.0)),
+        dict(g_coeffs=((0.0, 0.0), (0.0, 0.0, 0.0))),
+        dict(g_coeffs=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))),
+        dict(g_coeffs=((0.0, 0.0, 0.0),)),
+    ], ids=["f-short", "f-long", "gx-short", "gy-long", "one-row"])
+    def test_rejects_wrong_row_length(self, change):
+        # a wrong length would otherwise broadcast, or fail only in assembly
+        with pytest.raises(AssemblyError, match="f needs 2 entries, gx and gy need 3"):
+            LoadSpec(**change)
+
     def test_rejects_unknown_time_factor(self):
         with pytest.raises(AssemblyError):
             LoadSpec(g_time="quadratic")

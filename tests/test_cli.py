@@ -22,8 +22,9 @@ from crcontact.cli import (
     solve_level,
     write_csv,
 )
+from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel, Domain
-from crcontact.solver import UzawaError
+from crcontact.solver import UzawaConfig, UzawaError
 
 # the README's INI example, which writes out the example-5.1 preset in full
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -178,6 +179,47 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="error_mode"):
             dataclasses.replace(example_51_config(), error_mode="median")
 
+    @pytest.mark.parametrize("change,named", [
+        (dict(T=np.inf), "study: final time"), (dict(T=np.nan), "study: final time"),
+        (dict(N=np.nan), "study: need at least one time step"),
+        (dict(n=np.nan), "study: n"), (dict(levels=np.inf), "study: levels"),
+        (dict(rho=np.nan), "solver: rho"), (dict(rho=np.inf), "solver: rho"),
+    ], ids=["T-inf", "T-nan", "N-nan", "n-nan", "levels-inf", "rho-nan", "rho-inf"])
+    def test_rejects_non_finite_values(self, change, named):
+        # x <= 0 is False for nan, so a plain sign check lets it through
+        with pytest.raises(ConfigError, match=named):
+            dataclasses.replace(example_51_config(), **change)
+
+    def test_required_keys_only_take_the_documented_defaults(self, tmp_path):
+        text = ("[domain]\nx_min = 0\nx_max = 4\ny_min = 0\ny_max = 4\n" + SIDE_KEYS
+                + "\n[material]\nE = 200\nnu = 0.3\n[study]\nT = 1\nN = 40\nn = 2\n")
+        got = load_config(write_ini(tmp_path, text))
+        assert (got.uzawa.eps, got.uzawa.max_iter) == (1e-8, 10000)
+        assert (got.rho, got.levels, got.error_mode) == (10.0, 1, "final")
+        assert got.material == MaterialModel.from_engineering(200.0, 0.3, "strain")
+        assert got.loads == LoadSpec(f=(0.0, 0.0), f_time="const",
+                                     g_coeffs=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                                     g_time="const", g_sides=None, g_a=0.0)
+
+    @pytest.mark.parametrize("old,new", [
+        ("gx = 0.1 0 -0.02", "gx = 0.1 0"), ("gy = -0.01 0 0", "gy = -0.01 0 0 0"),
+        ("gx = 0.1 0 -0.02", "gx = 0.1 0 -0.02\nf = 0 0 -1"),
+    ], ids=["gx-short", "gy-long", "f-long"])
+    def test_load_row_length_exit_1(self, tmp_path, capsys, old, new):
+        ini = write_ini(tmp_path, PRESET_INI.replace(old, new))
+        with pytest.raises(ConfigError, match="loads: f needs 2 entries, gx and gy need 3"):
+            load_config(ini)
+        assert main(["solve", "--config", ini]) == 1
+        assert "config error: loads" in capsys.readouterr().err
+
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(PRESET_INI.replace("# plane:", "# \xff plane:").encode("latin-1"))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(str(path))
+        assert main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
+
 
 class TestRunSingle:
     def test_preset_level0_summary(self):
@@ -248,7 +290,8 @@ class TestConvergenceStudy:
         assert lines[1].split()[-1] == "-"
 
     def test_solver_failure_keeps_diagnostics(self):
-        cfg = dataclasses.replace(example_51_config(), levels=2, eps=1e-30, max_iter=5)
+        cfg = dataclasses.replace(example_51_config(), levels=2,
+                                  uzawa=UzawaConfig(eps=1e-30, max_iter=5))
         with pytest.raises(UzawaError) as exc_info:
             run_convergence_study(cfg)
         err = exc_info.value

@@ -30,7 +30,7 @@ class TestLameConversion:
         with pytest.raises(MaterialError):
             MaterialModel.from_engineering(200.0, nu)
 
-    @pytest.mark.parametrize("E", [0.0, -5.0])
+    @pytest.mark.parametrize("E", [0.0, -5.0, np.nan, np.inf])
     def test_rejects_bad_modulus(self, E):
         with pytest.raises(MaterialError):
             MaterialModel.from_engineering(E, 0.3)

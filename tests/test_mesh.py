@@ -39,6 +39,14 @@ class TestDomain:
                              left=BoundaryLabel.DIRICHLET, right=BoundaryLabel.NEUMANN,
                              bottom=BoundaryLabel.NEUMANN, top=BoundaryLabel.NEUMANN)
 
+    @pytest.mark.parametrize("bounds", [(0, np.inf, 0, 1), (-np.inf, 1, 0, 1), (0, 1, 0, np.inf)],
+                             ids=["x_max-inf", "x_min-inf", "y_max-inf"])
+    def test_rejects_non_finite_extent(self, bounds):
+        with pytest.raises(MeshError, match="finite"):
+            Domain.rectangle(*bounds,
+                             left=BoundaryLabel.DIRICHLET, right=BoundaryLabel.NEUMANN,
+                             bottom=BoundaryLabel.NEUMANN, top=BoundaryLabel.NEUMANN)
+
     def test_requires_dirichlet_part(self):
         with pytest.raises(MeshError):
             Domain.rectangle(0, 1, 0, 1,

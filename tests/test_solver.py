@@ -44,7 +44,8 @@ class TestTimeGrid:
         assert len(grid.nodes) == 41
         assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 1.0
 
-    @pytest.mark.parametrize("T,N", [(0.0, 10), (-1.0, 10), (1.0, 0)])
+    @pytest.mark.parametrize("T,N", [(0.0, 10), (-1.0, 10), (1.0, 0),
+                                     (np.inf, 4), (np.nan, 4), (1.0, np.nan)])
     def test_validation(self, T, N):
         with pytest.raises(ValueError):
             TimeGrid(T=T, N=N)
@@ -63,7 +64,8 @@ class TestProjection:
 
 class TestUzawaConfig:
     @pytest.mark.parametrize(
-        "kw", [dict(eps=-1e-8), dict(max_iter=-1), dict(eps=0.0), dict(max_iter=0)]
+        "kw", [dict(eps=-1e-8), dict(max_iter=-1), dict(eps=0.0), dict(max_iter=0),
+               dict(eps=np.nan), dict(eps=np.inf), dict(max_iter=np.nan)]
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):

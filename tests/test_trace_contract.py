@@ -6,7 +6,9 @@ that no longer exists, which breaks the traced benchmark run.
 ``perfbench/worker.py`` imports crcontact names and reaches others through
 module aliases; a deleted one fails every benchmark run. Each run parses
 the INI text of ``perfbench/workloads.py::config_text``; a config rule that
-refuses it fails the run. The files are loaded by path and only read.
+refuses it fails the run, and so does a renamed ``ProblemConfig`` field
+that the worker reads (``config.material``, ``config.loads.g_a``, ...).
+The files are loaded by path and only read.
 """
 
 import ast
@@ -32,6 +34,26 @@ def load_by_path(name, path):
     sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def attribute_chains(tree):
+    """(name, [attr, ...]) for every attribute chain rooted at a plain name."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain = [node.attr]
+        base = node.value
+        while isinstance(base, ast.Attribute):
+            chain.append(base.attr)
+            base = base.value
+        if isinstance(base, ast.Name):
+            yield base.id, chain[::-1]
+
+
+def resolve(obj, chain):
+    for part in chain:
+        obj = getattr(obj, part, MISSING)
+    return obj
 
 
 def test_every_traced_name_resolves():
@@ -70,22 +92,12 @@ def test_every_worker_name_resolves():
                 aliases[a.asname or a.name] = obj
     # every attribute chain rooted at such a name, e.g. cr_space.CRFunction.zero
     reached = 0
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Attribute):
+    for name, chain in attribute_chains(tree):
+        if aliases.get(name, MISSING) is MISSING:
             continue
-        chain = [node.attr]
-        base = node.value
-        while isinstance(base, ast.Attribute):
-            chain.append(base.attr)
-            base = base.value
-        if not (isinstance(base, ast.Name) and aliases.get(base.id, MISSING) is not MISSING):
-            continue
-        obj = aliases[base.id]
-        for part in reversed(chain):
-            obj = getattr(obj, part, MISSING)
         reached += 1
-        if obj is MISSING:
-            missing.append(".".join([base.id] + chain[::-1]))
+        if resolve(aliases[name], chain) is MISSING:
+            missing.append(".".join([name] + chain))
     assert {"cli", "cr_space", "solver"} <= aliases.keys() and reached, (aliases, reached)
     assert not missing, missing
 
@@ -93,7 +105,16 @@ def test_every_worker_name_resolves():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_every_workload_config_loads(tmp_path, seed):
     workloads = load_by_path("perfbench_workloads", WORKLOADS)
+    # the worker names the loaded config `config`, and `config_` inside the
+    # solve_level wrapper
+    chains = [chain for name, chain in attribute_chains(ast.parse(WORKER.read_text()))
+              if name in ("config", "config_")]
+    assert {"material", "loads", "domain"} <= {chain[0] for chain in chains}, chains
     for name in workloads.WORKLOADS:
         path = tmp_path / f"{name}.ini"
         path.write_text(workloads.config_text(name, seed))
-        assert load_config(str(path)).levels == workloads.WORKLOADS[name].levels
+        config = load_config(str(path))
+        assert config.levels == workloads.WORKLOADS[name].levels
+        missing = [".".join(["config"] + chain) for chain in chains
+                   if resolve(config, chain) is MISSING]
+        assert not missing, (name, missing)
