@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -65,10 +66,10 @@ class ProblemConfig:
             TimeGrid(self.T, self.N)
         except ValueError as exc:
             problems.append(f"study: {exc}")
-        if not 1 <= self.n < np.inf:
-            problems.append("study: n must be at least 1")
-        if not 1 <= self.levels < np.inf:
-            problems.append("study: levels must be at least 1")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            problems.append("study: n must be an integer of at least 1")
+        if not (isinstance(self.levels, numbers.Integral) and self.levels >= 1):
+            problems.append("study: levels must be an integer of at least 1")
         if self.error_mode not in ("final", "max"):
             problems.append("study: error_mode must be 'final' or 'max'")
         if not 0 < self.rho < np.inf:

@@ -121,26 +121,22 @@ class Mesh:
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
 
-        # enforce counterclockwise orientation
-        p = vertices
-        t = triangles.copy()
-        a = p[t[:, 1]] - p[t[:, 0]]
-        b = p[t[:, 2]] - p[t[:, 0]]
-        signed = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-        flip = signed < 0
-        t[flip] = t[flip][:, [0, 2, 1]]
-        signed = np.abs(signed)
-        if np.any(signed <= 0):
-            raise MeshError("degenerate triangle with zero area")
+        # reordering a clockwise triangle would renumber its local edges
+        a = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
+        b = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
+        areas = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        if np.any(areas <= 0):
+            raise MeshError("triangle is degenerate or clockwise")
 
-        self.vertices = p
-        self.triangles = t
-        self.areas = signed
+        self.vertices = vertices
+        self.triangles = triangles
+        self.areas = areas
         self.domain = domain
         self.parent_mesh = parent_mesh
-        if parent_mesh is not None and len(t) != 4 * parent_mesh.n_triangles:
-            raise MeshError(f"refined mesh has {len(t)} triangles, not 4 x {parent_mesh.n_triangles}")
-        self.parent_map = None if parent_mesh is None else np.arange(len(t)) // 4
+        nt = self.n_triangles
+        if parent_mesh is not None and nt != 4 * parent_mesh.n_triangles:
+            raise MeshError(f"refined mesh has {nt} triangles, not 4 x {parent_mesh.n_triangles}")
+        self.parent_map = None if parent_mesh is None else np.arange(nt) // 4
 
         self._build_edges()
         self._classify_edges()

@@ -25,6 +25,7 @@ K u = F(t_n) - c(lambda_n) with the factorization's backward-error test.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -63,8 +64,8 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not 1 <= self.N < np.inf:
-            raise ValueError("need at least one time step")
+        if not (isinstance(self.N, numbers.Integral) and self.N >= 1):
+            raise ValueError("need at least one time step and an integer N")
         if not 0 < self.T < np.inf:
             raise ValueError("final time must be positive and finite")
 
@@ -89,8 +90,9 @@ class UzawaConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not (0 < self.eps < np.inf and 1 <= self.max_iter < np.inf):
-            raise ValueError("need finite eps > 0 and max_iter >= 1")
+        if not (0 < self.eps < np.inf and isinstance(self.max_iter, numbers.Integral)
+                and self.max_iter >= 1):
+            raise ValueError("need finite eps > 0 and an integer max_iter >= 1")
 
 
 @dataclass
@@ -116,13 +118,14 @@ class SPDFactor:
     SuperLU runs in symmetric mode: one minimum-degree ordering of K^T + K
     permutes rows and columns alike, and the pivots stay on the diagonal,
     which a positive definite K allows. ``solve`` takes an (n,) or (n, k)
-    right-hand side.
+    right-hand side. SuperLU gets a CSC copy; the residual check multiplies
+    by K in CSR form, which is the faster product.
     """
 
     def __init__(self, K: sp.spmatrix):
-        self.K = K.tocsc()
+        self.K = K.tocsr()
         try:
-            self.lu = spla.splu(self.K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            self.lu = spla.splu(self.K.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True})
         except RuntimeError as exc:  # singular factorization
             raise SolverError(f"factorization failed: {exc}") from exc
@@ -139,11 +142,12 @@ class SPDFactor:
         """
         if not np.all(np.isfinite(x)):
             raise SolverError("linear solve produced non-finite values")
-        nrhs = np.linalg.norm(rhs, axis=0)
-        res = np.linalg.norm(self.K @ x - rhs, axis=0)
+        axis = 0 if x.ndim > 1 else None  # a vector's norm skips the slower axis path
+        nrhs = np.linalg.norm(rhs, axis=axis)
+        res = np.linalg.norm(self.K @ x - rhs, axis=axis)
         # backward-error criterion; reduces to res <= _RTOL*|rhs| for
         # well-scaled right-hand sides and stays meaningful as rhs -> 0
-        bound = _RTOL * (nrhs + self._norm_K * np.linalg.norm(x, axis=0))
+        bound = _RTOL * (nrhs + self._norm_K * np.linalg.norm(x, axis=axis))
         fail = res > np.maximum(bound, 1e-300)
         if np.any(fail):
             raise SolverError(f"linear solve residual {np.max(res * fail):.3e} exceeds "

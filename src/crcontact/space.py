@@ -34,9 +34,9 @@ def cr_gradients(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(area <= 0):
         raise MeshError("triangle is degenerate or clockwise")
     # edge opposite vertex j runs from vertex j+1 to vertex j+2
-    opp = p[..., [2, 0, 1], :] - p[..., [1, 2, 0], :]
-    grad_bary = np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / (2.0 * area)[..., None, None]
-    return -2.0 * grad_bary, area
+    opp = np.roll(p, -2, axis=-2) - np.roll(p, -1, axis=-2)
+    # grad psi_j = -2 grad lambda_j, and grad lambda_j = (-opp_y, opp_x) / (2 area)
+    return np.stack([opp[..., 1], -opp[..., 0]], axis=-1) / area[..., None, None], area
 
 
 def cr_values(coords: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -44,20 +44,14 @@ def cr_values(coords: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     ``coords`` is (..., 3, 2) and ``points`` (..., npts, 2); the leading
     axes broadcast. Returns an (..., npts, 3) array whose rows sum to 1.
+    Each psi_j is affine, so psi_j(x) = psi_j(p_0) + grad psi_j . (x - p_0)
+    with psi(p_0) = (-1, 1, 1) and the gradients of ``cr_gradients``.
     """
-    p = np.asarray(coords, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d1 = p[..., None, 1, :] - p[..., None, 0, :]
-    d2 = p[..., None, 2, :] - p[..., None, 0, :]
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    if np.any(det <= 0):
-        raise MeshError("triangle is degenerate or clockwise")
-    r = pts - p[..., None, 0, :]
-    l1 = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
-    l2 = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
-    l0 = 1.0 - l1 - l2
-    bary = np.stack([l0, l1, l2], axis=-1)
-    return 1.0 - 2.0 * bary
+    grads, _ = cr_gradients(coords)
+    r = np.asarray(points, dtype=float) - np.asarray(coords, dtype=float)[..., None, 0, :]
+    # two broadcast products; a batched 2x3 matmul is slower on large stacks
+    return (np.array([-1.0, 1.0, 1.0]) + r[..., 0, None] * grads[..., None, :, 0]
+            + r[..., 1, None] * grads[..., None, :, 1])
 
 
 class CRSpace:

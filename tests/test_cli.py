@@ -175,6 +175,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="study.*solver|solver.*study"):
             dataclasses.replace(cfg, T=-1.0, rho=0.0)
 
+    @pytest.mark.parametrize("change,named", [
+        (dict(N=2.5), "study: need at least one time step and an integer N"),
+        (dict(n=1.5), "study: n must be an integer"),
+        (dict(levels=2.5), "study: levels must be an integer"),
+    ], ids=["N", "n", "levels"])
+    def test_rejects_non_integer_counts(self, change, named):
+        with pytest.raises(ConfigError, match=named):
+            dataclasses.replace(example_51_config(), **change)
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = dataclasses.replace(example_51_config(), N=np.int64(40), n=np.int64(2),
+                                  levels=np.int64(5), uzawa=UzawaConfig(max_iter=np.int64(10)))
+        assert (cfg.N, cfg.n, cfg.levels, cfg.uzawa.max_iter) == (40, 2, 5, 10)
+
     def test_rejects_bad_error_mode(self):
         with pytest.raises(ConfigError, match="error_mode"):
             dataclasses.replace(example_51_config(), error_mode="median")

@@ -100,6 +100,13 @@ class TestGenerateStructured:
         expected = np.where(x < 2.0, BoundaryLabel.DIRICHLET, BoundaryLabel.CONTACT)
         assert np.array_equal(m.edge_labels[bottom], expected)
 
+    def test_rejects_clockwise_triangle(self, mesh2):
+        # reordering it would silently renumber the triangle's local edges
+        tris = mesh2.triangles.copy()
+        tris[3] = tris[3, [0, 2, 1]]
+        with pytest.raises(MeshError, match="degenerate or clockwise"):
+            Mesh(mesh2.vertices, tris, mesh2.domain)
+
     def test_rejects_zero_subdivisions(self, domain):
         with pytest.raises(MeshError):
             generate_structured(domain, 0)

@@ -91,6 +91,18 @@ class TestLocalBasis:
         vals = cr_values(REF, REF_MIDPOINTS)
         assert np.allclose(vals, np.eye(3), atol=1e-14)
 
+    def test_defining_property_on_random_triangles(self):
+        # values come from the gradients, so this also checks cr_gradients
+        rng = np.random.default_rng(5)
+        coords = rng.uniform(-2.0, 2.0, size=(400, 3, 2))
+        d1, d2 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
+        signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        coords = coords[signed > 0.2]  # counterclockwise, away from slivers
+        mids = 0.5 * (coords[:, [1, 2, 0]] + coords[:, [2, 0, 1]])
+        vals = cr_values(coords, mids)
+        assert len(coords) > 100
+        assert np.allclose(vals, np.eye(3), rtol=0, atol=1e-13)
+
     def test_partition_of_unity(self):
         rng = np.random.default_rng(7)
         bary = rng.dirichlet(np.ones(3), size=20)
