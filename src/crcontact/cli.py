@@ -221,11 +221,16 @@ def build_meshes(config: ProblemConfig, levels: int) -> list[Mesh]:
 
 def solve_level(config: ProblemConfig, mesh: Mesh, level: int,
                 log=None) -> tuple:
-    """March the fully-discrete scheme on one refinement level."""
+    """March the fully-discrete scheme on one refinement level.
+
+    The trajectory keeps every node's displacement in ``error_mode = "max"``;
+    in ``"final"`` it keeps u_{N-1} and u_N, which the final-step velocity reads.
+    """
     space = build_space(mesh)
     system = assemble_stiffness(space, config.material, config.rho)
     grid = TimeGrid(T=config.T, N=config.N * 2**level)
-    traj = march(system, config.loads, grid, config.uzawa, log=log)
+    traj = march(system, config.loads, grid, config.uzawa, log=log,
+                 keep_last=None if config.error_mode == "max" else 2)
     return space, system, traj
 
 
@@ -284,7 +289,6 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
         grid = traj.grid
         # the nodes shared with the next level: the last one, or every one
         nodes = traj.displacements if config.error_mode == "max" else [traj.final]
-        del traj  # in final mode, u(T) is all the next level reads
         error = order = None
         if previous is not None:
             # the fine grid has twice the steps: its even nodes are the coarse ones

@@ -24,7 +24,7 @@ from crcontact.cli import (
 )
 from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel, Domain
-from crcontact.solver import UzawaConfig, UzawaError
+from crcontact.solver import UzawaConfig, UzawaError, march
 
 # the README's INI example, which writes out the example-5.1 preset in full
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -256,6 +256,25 @@ class TestRunSingle:
         for ln in lines:
             parts = [float(tok) for tok in ln.split()]
             assert len(parts) == 4
+
+
+class TestSolveLevel:
+    def test_error_mode_sets_the_kept_nodes(self):
+        # final mode keeps u_{N-1} and u_N, max mode every node; each kept
+        # node is bit-equal to the same node of an all-node march
+        cfg = example_51_config()
+        mesh = build_meshes(cfg, 2)[1]
+        _, system, final = solve_level(cfg, mesh, 1)
+        _, _, every = solve_level(dataclasses.replace(cfg, error_mode="max"), mesh, 1)
+        full = march(system, cfg.loads, final.grid, cfg.uzawa)
+        assert len(final.displacements) == 2
+        assert len(every.displacements) == len(full.displacements) == final.grid.N + 1 == 81
+        for traj in (final, every):
+            kept = full.displacements[-len(traj.displacements):]
+            assert all(np.array_equal(u.coeffs, v.coeffs)
+                       for u, v in zip(traj.displacements, kept, strict=True))
+            assert len(traj.multipliers) == final.grid.N + 1
+            assert traj.uzawa_iters == full.uzawa_iters
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Time marching, Uzawa inner iteration and sparse SPD solves."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from crcontact.assembly import assemble_load, assemble_stiffness
 from crcontact.cli import build_meshes, solve_level
 from crcontact.mesh import BoundaryLabel, Domain, generate_structured
 from crcontact.solver import (
+    _BLOCK,
     SolverError,
     SPDFactor,
     TimeGrid,
@@ -320,6 +322,41 @@ class TestMarch:
         assert len(traj.uzawa_iters) == 40
         assert len(traj.displacements) == 41
 
+    @pytest.mark.parametrize("keep", [1, 2, 11, 50])
+    def test_keep_last_stores_the_final_nodes(self, system2, config, keep):
+        grid = TimeGrid(T=1.0, N=10)
+        full = march(system2, config.loads, grid, UzawaConfig())
+        traj = march(system2, config.loads, grid, UzawaConfig(), keep_last=keep)
+        kept = full.displacements[-keep:]
+        assert len(traj.displacements) == len(kept) == min(keep, grid.N + 1)
+        assert all(np.array_equal(u.coeffs, v.coeffs)
+                   for u, v in zip(traj.displacements, kept, strict=True))
+        assert len(traj.multipliers) == grid.N + 1
+        assert traj.uzawa_iters == full.uzawa_iters
+
+    @pytest.mark.parametrize("keep", [0, -1, 2.0])
+    def test_keep_last_rejects_non_positive_or_non_integer(self, system2, config, keep):
+        with pytest.raises(ValueError, match="keep_last"):
+            march(system2, config.loads, TimeGrid(T=1.0, N=4), UzawaConfig(), keep_last=keep)
+
+    def test_two_node_march_allocates_no_trajectory(self, config):
+        # L3: the all-node trajectory is 321 x 1552 doubles = 4.0 MB; a
+        # two-node march holds Z, the scratch of its block solve (right-hand
+        # side, solution and two residual-check blocks) and a few node vectors
+        space = build_space(build_meshes(config, 4)[-1])
+        system = assemble_stiffness(space, config.material, config.rho)
+        grid = TimeGrid(T=config.T, N=config.N * 8)
+        n, m = space.n_dofs_free, len(space.contact_tangent_dof)
+        node, Z = 8 * n, 8 * n * m
+        tracemalloc.start()
+        try:
+            march(system, config.loads, grid, config.uzawa, keep_last=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (grid.N + 1, n) == (321, 1552)
+        assert peak <= Z + 4 * 8 * n * min(m, _BLOCK) + 24 * node, peak
+
     def test_monotone_growth_under_ramp(self, system2, material, config):
         traj = march(system2, config.loads, TimeGrid(T=1.0, N=40),
                      UzawaConfig())
@@ -460,7 +497,7 @@ class TestTimeRate:
         out until the inner solve's error is bounded.
         """
         loads = dataclasses.replace(config.loads, f=(0.0, -0.05), f_time="const", g_a=0.012)
-        config = dataclasses.replace(config, loads=loads,
+        config = dataclasses.replace(config, loads=loads, error_mode="max",  # every node
                                      uzawa=UzawaConfig(eps=1e-12, max_iter=100000))
         mesh = build_meshes(config, 3)[-1]
         runs = [solve_level(dataclasses.replace(config, N=N), mesh, 0) for N in (40, 80, 160, 320)]
