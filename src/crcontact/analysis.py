@@ -1,11 +1,11 @@
 """Mesh-dependent energy norms, inter-mesh errors and a desk-scale oracle.
 
-The energy norm evaluator takes the element gradients and signed edge
-traces from the batched CR kernel of ``crcontact.space``, as the stiffness
-assembly does, but applies them to the coefficient vector as sparse
-gradient and jump operators and evaluates the strain-energy density with
-its own formula. v^T K v and |||v|||^2 are therefore an independent
-cross-check of the assembled element and penalty blocks.
+The energy norm evaluator reads the element gradients and signed edge
+traces that the ``CRSpace`` owns, as the stiffness assembly does, but
+applies them to the coefficient vector as sparse gradient and jump
+operators and evaluates the strain-energy density with its own formula.
+v^T K v and |||v|||^2 are therefore an independent cross-check of the
+assembled element and penalty blocks.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import scipy.sparse as sp
 
 from crcontact.assembly import DiscreteSystem
 from crcontact.material import MaterialModel
-from crcontact.mesh import edge_sets
-from crcontact.space import CRFunction, CRSpace, _jump_traces, cr_gradients, prolongate
+from crcontact.space import CRFunction, CRSpace, prolongate, sparse_from_local
 
 
 @dataclass
@@ -60,32 +59,21 @@ class EnergyNormEvaluator:
         self.space = space
         self.material = material
         self.rho = rho
-        mesh = space.mesh
-        nt = mesh.n_triangles
+        nt = space.mesh.n_triangles
         n = space.n_dofs_free
 
-        # row 4t + 2i + j holds d u_i / d x_j on triangle t
-        grads, self._areas = cr_gradients(mesh.vertices[mesh.triangles])
-        rows = np.broadcast_to((4 * np.arange(nt))[:, None, None, None]
-                               + 2 * np.arange(2)[:, None] + np.arange(2), (nt, 3, 2, 2))
-        cols = np.broadcast_to(space.local_dofs[..., None], rows.shape)
-        vals = np.broadcast_to(grads[:, :, None, :], rows.shape)
-        keep = cols >= 0
-        self._grad_op = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                                      shape=(4 * nt, n)).tocsr()
+        # row 4t + 2i + j holds d u_i / d x_j on triangle t (axes t, local edge, i, j)
+        rows = (4 * np.arange(nt))[:, None, None, None] + 2 * np.arange(2)[:, None] + np.arange(2)
+        self._grad_op = sparse_from_local(rows, space.local_dofs[..., None],
+                                          space.grads[:, :, None, :], (4 * nt, n))
 
         # row 4k + 2q + c holds the jump of component c at Gauss point q of
-        # the k-th stabilized edge
-        phi, dofs = _jump_traces(space, edge_sets(mesh).stabilized)  # (k, 2, 2, 3), (k, 2, 3, 2)
+        # the k-th stabilized edge (axes edge, side, q, local edge, c)
+        phi, dofs = space.jump_traces()  # (k, 2, 2, 3), (k, 2, 3, 2)
         k = len(phi)
-        shape = (k, 2, 2, 3, 2)  # edge, side, Gauss point, local edge, component
-        rows = np.broadcast_to((4 * np.arange(k))[:, None, None, None, None]
-                               + 2 * np.arange(2)[:, None, None] + np.arange(2), shape)
-        cols = np.broadcast_to(dofs[:, :, None], shape)
-        vals = np.broadcast_to(phi[..., None], shape)
-        keep = cols >= 0
-        self._jump_op = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                                      shape=(4 * k, n)).tocsr()
+        rows = ((4 * np.arange(k))[:, None, None, None, None]
+                + 2 * np.arange(2)[:, None, None] + np.arange(2))
+        self._jump_op = sparse_from_local(rows, dofs[:, :, None], phi[..., None], (4 * k, n))
 
     def breakdown(self, v: CRFunction) -> EnergyNormBreakdown:
         lam, mu = self.material.lam, self.material.mu
@@ -95,7 +83,7 @@ class EnergyNormEvaluator:
         exy = 0.5 * (g[:, 0, 1] + g[:, 1, 0])
         tr = exx + eyy
         density = lam * tr**2 + 2.0 * mu * (exx**2 + eyy**2 + 2.0 * exy**2)
-        elem = float(np.dot(self._areas, density))
+        elem = float(np.dot(self.space.mesh.areas, density))
 
         # sum over Gauss points of |jump|^2 carries the uniform weight rho*mu:
         # (2 rho mu / h_e) * (h_e / 2) per point

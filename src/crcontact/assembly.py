@@ -6,10 +6,11 @@ Dirichlet edges, integrated with 2-point Gauss (exact for CR jumps, which
 are linear along each edge). The friction functional uses the one-point
 midpoint rule per contact edge, whose value is exactly the tangential DOF.
 
-Each term is built in one pass per mesh: the batched CR kernel of
-``crcontact.space`` gives every element gradient and edge trace at once,
-and the COO triplets come from the local DOF map with the eliminated (-1)
-DOFs masked out.
+Each term is built in one pass per mesh from the basis data the
+``CRSpace`` owns: its element gradients, its signed jump traces and its
+basis values at the Neumann Gauss points. The stiffness triplets come from
+the local DOF map and go through ``sparse_from_local``, which drops the
+eliminated (-1) DOFs.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from crcontact.mesh import SIDES, BoundaryLabel, edge_sets
+from crcontact.mesh import SIDES, BoundaryLabel
 from crcontact.material import MaterialModel
-from crcontact.space import CRFunction, CRSpace, _jump_traces, cr_gradients, cr_values
+from crcontact.space import CRFunction, CRSpace, sparse_from_local
 
 
 class AssemblyError(ValueError):
@@ -89,13 +90,13 @@ class LoadSpec:
         return vals * _TIME_FACTORS[self.g_time](t)
 
 
-def element_stiffness(coords: np.ndarray, mat: MaterialModel) -> np.ndarray:
+def element_stiffness(grads: np.ndarray, area: np.ndarray, mat: MaterialModel) -> np.ndarray:
     """Element matrices area * B^T D B in DOF order (e0x, e0y, ..., e2y).
 
-    ``coords`` is (..., 3, 2); the result is (..., 6, 6). The strain is
+    ``grads`` (..., 3, 2) and ``area`` (...) are the basis gradients and
+    areas of ``cr_gradients``; the result is (..., 6, 6). The strain is
     constant per element, so the one-point rule is exact.
     """
-    grads, area = cr_gradients(coords)
     gx, gy = grads[..., 0], grads[..., 1]
     # rows (eps_xx, eps_yy, 2 eps_xy); columns 2j, 2j + 1 are the x, y dofs of edge j
     B = np.zeros(area.shape + (3, 6))
@@ -110,32 +111,25 @@ def assemble_stiffness(space: CRSpace, mat: MaterialModel, rho: float) -> Discre
     """Stabilized stiffness matrix over the free DOFs."""
     if rho <= 0:
         raise AssemblyError(f"stabilization parameter must be positive, got {rho}")
-    mesh = space.mesh
-    nt = mesh.n_triangles
+    nt = space.mesh.n_triangles
 
     # element term: constant strain per triangle, one (6, 6) block each
-    elem = element_stiffness(mesh.vertices[mesh.triangles], mat)
+    elem = element_stiffness(space.grads, space.mesh.areas, mat)
     elem_dofs = space.local_dofs.reshape(nt, 6)  # (e0x, e0y, e1x, e1y, e2x, e2y)
 
     # jump penalty over interior and Dirichlet edges, one block per component;
     # weight (2 rho mu / h_e) * (h_e / 2) per Gauss point
-    phi, dofs = _jump_traces(space, edge_sets(mesh).stabilized)
+    phi, dofs = space.jump_traces()
     k = len(phi)
     phi = phi.swapaxes(2, 3).reshape(k, 6, 2)
     jump = mat.mu * rho * (phi @ phi.swapaxes(1, 2))
-    jump = np.broadcast_to(jump[:, None], (k, 2, 6, 6))
-    jump_dofs = dofs.reshape(k, 6, 2).swapaxes(1, 2)  # (k, 2 comps, 6)
+    jump = np.repeat(jump, 2, axis=0)  # one copy per component
+    jump_dofs = dofs.reshape(k, 6, 2).swapaxes(1, 2).reshape(2 * k, 6)  # (edge, comp) rows
 
-    rows, cols, vals = [], [], []
-    for d, block in ((elem_dofs, elem), (jump_dofs, jump)):
-        rows.append(np.broadcast_to(d[..., :, None], block.shape).ravel())
-        cols.append(np.broadcast_to(d[..., None, :], block.shape).ravel())
-        vals.append(block.ravel())
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    keep = np.minimum(rows, cols) >= 0
+    blocks = np.concatenate([elem, jump])
+    block_dofs = np.concatenate([elem_dofs, jump_dofs])
     n = space.n_dofs_free
-    K = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    K.sum_duplicates()
+    K = sparse_from_local(block_dofs[:, :, None], block_dofs[:, None, :], blocks, (n, n))
     return DiscreteSystem(space=space, K=K)
 
 
@@ -153,7 +147,7 @@ def assemble_load(space: CRSpace, loads: LoadSpec, t: float) -> np.ndarray:
         neumann = neumann[np.isin(mesh.boundary_side(neumann), loads.g_sides)]
     pts = space.edge_gauss_points(neumann)  # (k, 2 pts, 2)
     tris = mesh.edge_tris[neumann, 0]
-    traces = cr_values(mesh.triangle_coords(tris), pts)  # (k, 2 pts, 3)
+    traces = space.basis_values(tris, pts)  # (k, 2 pts, 3)
     gvals = loads.g_at(pts, t)  # (k, 2 pts, 2 comps)
     w = 0.5 * mesh.edge_lengths[neumann]
     traction = w[:, None, None] * (traces.swapaxes(1, 2) @ gvals)  # (k, 3, 2)

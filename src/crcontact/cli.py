@@ -74,6 +74,12 @@ class ProblemConfig:
             problems.append("study: error_mode must be 'final' or 'max'")
         if not 0 < self.rho < np.inf:
             problems.append("solver: rho must be positive and finite")
+        # a traction side without Neumann edges would carry no load at all
+        neumann = {seg.side for seg in self.domain.boundary_spec
+                   if seg.label == BoundaryLabel.NEUMANN}
+        for side in self.loads.g_sides or ():
+            if side not in neumann:
+                problems.append(f"loads: traction side {side!r} has no neumann segment")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -241,8 +247,9 @@ def run_single(config: ProblemConfig, level: int = 0,
         raise ConfigError(f"solve: level must be nonnegative, got {level}")
     meshes = build_meshes(config, level + 1)
     space, _, traj = solve_level(config, meshes[-1], level, log=log)
-    u = traj.final
-    values = _edge_fields(space, u)
+    # per non-Dirichlet edge: midpoint coordinates and the two DOF values
+    keep = space.mesh.edge_labels != BoundaryLabel.DIRICHLET
+    values = np.column_stack([space.mesh.midpoints[keep], traj.final.edge_values()[keep]])
     summary = {
         "level": level,
         "dof": space.n_dofs_reported,
@@ -259,14 +266,6 @@ def run_single(config: ProblemConfig, level: int = 0,
             for mx, my, ux, uy in values:
                 out.write(f"{float(mx)!r} {float(my)!r} {float(ux)!r} {float(uy)!r}\n")
     return summary
-
-
-def _edge_fields(space, u) -> np.ndarray:
-    """Per non-Dirichlet edge: midpoint coordinates and DOF values."""
-    keep = (space.dof_x >= 0) | (space.dof_y >= 0)
-    padded = np.append(u.coeffs, 0.0)  # -1 picks the trailing zero
-    return np.column_stack([space.mesh.midpoints[keep],
-                            padded[space.dof_x[keep]], padded[space.dof_y[keep]]])
 
 
 def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRow]:

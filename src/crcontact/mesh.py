@@ -82,17 +82,6 @@ class Domain:
         return float(np.hypot(self.x_max - self.x_min, self.y_max - self.y_min))
 
 
-@dataclass
-class EdgeSets:
-    """Disjoint partition of edge indices plus the stabilization set."""
-
-    interior: np.ndarray
-    dirichlet: np.ndarray
-    neumann: np.ndarray
-    contact: np.ndarray
-    stabilized: np.ndarray  # interior union Dirichlet
-
-
 class Mesh:
     """Immutable triangulation with classified edges.
 
@@ -225,10 +214,6 @@ class Mesh:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def triangle_coords(self, t) -> np.ndarray:
-        """Vertex coordinates of triangle(s) t: (3, 2), or t.shape + (3, 2)."""
-        return self.vertices[self.triangles[t]]
-
     def boundary_side(self, e):
         """Which rectangle side boundary edge(s) e lie on: a name, or an array of names."""
         e = np.asarray(e)
@@ -291,12 +276,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return Mesh(vertices, children, mesh.domain, parent_mesh=mesh)
 
 
-def edge_sets(mesh: Mesh) -> EdgeSets:
-    """Partition edges by label and form the stabilization set E^0."""
-    lab = mesh.edge_labels
-    interior = np.nonzero(lab == BoundaryLabel.INTERIOR)[0]
-    dirichlet = np.nonzero(lab == BoundaryLabel.DIRICHLET)[0]
-    neumann = np.nonzero(lab == BoundaryLabel.NEUMANN)[0]
-    contact = np.nonzero(lab == BoundaryLabel.CONTACT)[0]
-    stabilized = np.sort(np.concatenate([interior, dirichlet]))
-    return EdgeSets(interior, dirichlet, neumann, contact, stabilized)
+def edge_sets(mesh: Mesh) -> np.ndarray:
+    """The stabilization set E^0: indices of the interior and Dirichlet edges, ascending."""
+    return np.nonzero(np.isin(mesh.edge_labels,
+                              (BoundaryLabel.INTERIOR, BoundaryLabel.DIRICHLET)))[0]

@@ -4,6 +4,10 @@ Degrees of freedom sit at edge midpoints, two components per edge.
 Dirichlet edges carry no DOFs; contact edges carry only the tangential
 component (the normal one is constrained to zero). Contact edges must be
 axis-aligned so the constraint is a pure coordinate elimination.
+
+A ``CRSpace`` computes the gradients of its basis psi_j = 1 - 2 lambda_j
+once; every consumer reads them through the space. ``sparse_from_local``
+builds each sparse operator over free DOFs and drops the eliminated (-1) ones.
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from crcontact.mesh import BoundaryLabel, Mesh, MeshError
+from crcontact.mesh import BoundaryLabel, Mesh, MeshError, edge_sets
 
 #: 2-point Gauss abscissae on [-1, 1] (exact for cubics on an edge)
 GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
@@ -39,19 +44,26 @@ def cr_gradients(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([opp[..., 1], -opp[..., 0]], axis=-1) / area[..., None, None], area
 
 
-def cr_values(coords: np.ndarray, points: np.ndarray) -> np.ndarray:
+def cr_values(origin: np.ndarray, grads: np.ndarray, points: np.ndarray) -> np.ndarray:
     """CR shape function values at given points inside triangles.
 
-    ``coords`` is (..., 3, 2) and ``points`` (..., npts, 2); the leading
-    axes broadcast. Returns an (..., npts, 3) array whose rows sum to 1.
-    Each psi_j is affine, so psi_j(x) = psi_j(p_0) + grad psi_j . (x - p_0)
-    with psi(p_0) = (-1, 1, 1) and the gradients of ``cr_gradients``.
+    ``origin`` (..., 2) is each triangle's vertex 0, ``grads`` (..., 3, 2)
+    its ``cr_gradients`` and ``points`` (..., npts, 2); the leading axes
+    broadcast. Returns an (..., npts, 3) array whose rows sum to 1. Each
+    psi_j is affine, so psi_j(x) = psi_j(p_0) + grad psi_j . (x - p_0) with
+    psi(p_0) = (-1, 1, 1).
     """
-    grads, _ = cr_gradients(coords)
-    r = np.asarray(points, dtype=float) - np.asarray(coords, dtype=float)[..., None, 0, :]
+    r = points - origin[..., None, :]
     # two broadcast products; a batched 2x3 matmul is slower on large stacks
     return (np.array([-1.0, 1.0, 1.0]) + r[..., 0, None] * grads[..., None, :, 0]
             + r[..., 1, None] * grads[..., None, :, 1])
+
+
+def sparse_from_local(rows, cols, vals, shape) -> sp.csr_matrix:
+    """CSR matrix from broadcast local triplets, summing repeats; a -1 row or column is dropped."""
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    keep = (rows >= 0) & (cols >= 0)  # two bool temporaries, not an int64 one
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
 
 
 class CRSpace:
@@ -67,6 +79,8 @@ class CRSpace:
     contact_tangent_dof : free DOF of the tangential component per contact edge
     n_dofs_reported : 2 x (#edges - #Dirichlet edges)
     n_dofs_free : after eliminating the contact normal components
+    grads : (nt, 3, 2) constant gradients of the three basis functions per
+        triangle, from one ``cr_gradients`` call
     """
 
     def __init__(self, mesh: Mesh):
@@ -103,8 +117,9 @@ class CRSpace:
 
         te = mesh.tri_edges
         self.local_dofs = np.stack([dof_x[te], dof_y[te]], axis=2)
+        self.grads, _ = cr_gradients(mesh.vertices[mesh.triangles])
         for arr in (self.dof_x, self.dof_y, self.local_dofs, self.contact_edges,
-                    self.contact_tangent_dof):
+                    self.contact_tangent_dof, self.grads):
             arr.setflags(write=False)
 
     @property
@@ -119,22 +134,29 @@ class CRSpace:
         half = 0.5 * (b - a)
         return mid[..., None, :] + GAUSS2[:, None] * half[..., None, :]
 
+    def basis_values(self, tris, points: np.ndarray) -> np.ndarray:
+        """Basis values at points inside triangles ``tris``: tris.shape + (npts, 3).
 
-def _jump_traces(space: CRSpace, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed traces of the basis functions of both sides of each edge.
+        ``points`` is tris.shape + (npts, 2), or broadcasts to it.
+        """
+        origin = self.mesh.vertices[self.mesh.triangles[tris, 0]]
+        return cr_values(origin, self.grads[tris], points)
 
-    Returns (phi (k, 2 sides, 2 Gauss points, 3), dofs (k, 2 sides, 3, 2)):
-    the first adjacent triangle counts +, the second -, and the dofs of a
-    missing second triangle are -1.
-    """
-    mesh = space.mesh
-    tris = mesh.edge_tris[edges]
-    present = tris >= 0
-    tris = np.where(present, tris, tris[:, :1])
-    phi = cr_values(mesh.triangle_coords(tris), space.edge_gauss_points(edges)[:, None])
-    phi *= np.array([1.0, -1.0])[:, None, None]
-    dofs = np.where(present[..., None, None], space.local_dofs[tris], -1)
-    return phi, dofs
+    def jump_traces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Signed basis traces of both sides of each stabilized (interior or Dirichlet) edge.
+
+        Returns (phi (k, 2 sides, 2 Gauss points, 3), dofs (k, 2 sides, 3, 2)):
+        the first adjacent triangle counts +, the second -, and the dofs of a
+        missing second triangle are -1. Computed on each call, not stored.
+        """
+        edges = edge_sets(self.mesh)
+        tris = self.mesh.edge_tris[edges]
+        present = tris >= 0
+        tris = np.where(present, tris, tris[:, :1])
+        phi = self.basis_values(tris, self.edge_gauss_points(edges)[:, None])
+        phi *= np.array([1.0, -1.0])[:, None, None]
+        dofs = np.where(present[..., None, None], self.local_dofs[tris], -1)
+        return phi, dofs
 
 
 def build_space(mesh: Mesh) -> CRSpace:
@@ -158,13 +180,10 @@ class CRFunction:
     def zero(cls, space: CRSpace) -> "CRFunction":
         return cls(space, np.zeros(space.n_dofs_free))
 
-    def _midpoint_values(self) -> np.ndarray:
-        """Midpoint values per triangle: (nt, 3 local edges, 2 components).
-
-        Constrained components contribute zero.
-        """
+    def edge_values(self) -> np.ndarray:
+        """Midpoint value per edge: (ne, 2 components), 0 where a component is eliminated."""
         padded = np.append(self.coeffs, 0.0)
-        return padded[self.space.local_dofs]  # -1 picks the trailing zero
+        return padded[np.stack([self.space.dof_x, self.space.dof_y], axis=1)]  # -1: trailing 0
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """The piecewise-linear field at points inside every triangle.
@@ -173,13 +192,13 @@ class CRFunction:
         returns (nt, npts, 2).
         """
         mesh = self.space.mesh
-        return cr_values(mesh.vertices[mesh.triangles], points) @ self._midpoint_values()
+        basis = self.space.basis_values(np.arange(mesh.n_triangles), points)
+        return basis @ self.edge_values()[mesh.tri_edges]
 
     def gradients(self) -> np.ndarray:
         """Constant displacement gradient per triangle: (nt, 2, 2), [t, i, j] = d u_i / d x_j."""
-        mesh = self.space.mesh
-        grads, _ = cr_gradients(mesh.vertices[mesh.triangles])  # (nt, 3, 2)
-        return np.swapaxes(self._midpoint_values(), 1, 2) @ grads
+        local = self.edge_values()[self.space.mesh.tri_edges]  # (nt, 3 local edges, 2 comps)
+        return np.swapaxes(local, 1, 2) @ self.space.grads
 
     def __sub__(self, other: "CRFunction") -> "CRFunction":
         if other.space is not self.space:
@@ -212,8 +231,6 @@ def prolongation_matrix(coarse_space: CRSpace, fine_space: CRSpace):
     edges lying on a coarse edge see two parents; their traces are averaged.
     The result is cached on the fine space.
     """
-    import scipy.sparse as sp
-
     fine_mesh = fine_space.mesh
     if fine_mesh.parent_mesh is not coarse_space.mesh:
         raise ValueError("fine space is not a uniform refinement of the coarse space")
@@ -228,17 +245,14 @@ def prolongation_matrix(coarse_space: CRSpace, fine_space: CRSpace):
     p1 = np.where(et[:, 1] >= 0, fine_mesh.parent_map[et[:, 1]], p0)
     shared = p1 == p0
     parents = np.stack([p0, p1], axis=1)  # (ne, 2)
-    traces = cr_values(coarse_space.mesh.triangle_coords(parents),
-                       fine_mesh.midpoints[:, None, None, :])[:, :, 0]  # (ne, 2, 3)
+    traces = coarse_space.basis_values(
+        parents, fine_mesh.midpoints[:, None, None, :])[:, :, 0]  # (ne, 2, 3)
     traces *= np.where(shared, 1.0, 0.5)[:, None, None]
     cols = coarse_space.local_dofs[parents]  # (ne, 2 parents, 3, 2 comps)
     cols[shared, 1] = -1
-    rows = np.broadcast_to(
-        np.stack([fine_space.dof_x, fine_space.dof_y], axis=1)[:, None, None, :], cols.shape)
-    vals = np.broadcast_to(traces[..., None], cols.shape)
-    keep = np.minimum(rows, cols) >= 0
-    P = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                      shape=(fine_space.n_dofs_free, coarse_space.n_dofs_free)).tocsr()
+    rows = np.stack([fine_space.dof_x, fine_space.dof_y], axis=1)[:, None, None, :]
+    P = sparse_from_local(rows, cols, traces[..., None],
+                          (fine_space.n_dofs_free, coarse_space.n_dofs_free))
     fine_space._prolongation_cache = (coarse_space, P)
     return P
 

@@ -16,7 +16,7 @@ from crcontact.assembly import (
 )
 from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel
-from crcontact.space import CRFunction, cr_values, interpolate_cr
+from crcontact.space import CRFunction, cr_gradients, interpolate_cr
 from conftest import random_cr
 
 UNIT_MAT = MaterialModel(E=1.0, nu=0.0, lam=1.0, mu=1.0)
@@ -54,7 +54,7 @@ def _oracle_element_matrix(coords, mat):
 class TestElementStiffness:
     def test_reference_triangle_against_oracle(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        got = element_stiffness(coords, UNIT_MAT)
+        got = element_stiffness(*cr_gradients(coords), UNIT_MAT)
         want = _oracle_element_matrix(coords, UNIT_MAT)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -69,13 +69,13 @@ class TestElementStiffness:
                 coords[[1, 2]] = coords[[2, 1]]
             if abs(d1[0] * d2[1] - d1[1] * d2[0]) < 0.1:
                 continue
-            got = element_stiffness(coords, mat)
+            got = element_stiffness(*cr_gradients(coords), mat)
             want = _oracle_element_matrix(coords, mat)
             assert np.allclose(got, want, rtol=1e-11, atol=1e-10)
             batch.append(coords)
         assert len(batch) >= 2
         # one call on the stacked triangles gives every element matrix
-        stacked = element_stiffness(np.array(batch), mat)
+        stacked = element_stiffness(*cr_gradients(np.array(batch)), mat)
         assert stacked.shape == (len(batch), 6, 6)
         for coords, got in zip(batch, stacked):
             assert np.allclose(got, _oracle_element_matrix(coords, mat),
@@ -230,7 +230,7 @@ class TestLoadVector:
             for s, w in zip(xg, wg):
                 pt = 0.5 * (a + b) + 0.5 * s * (b - a)
                 g = config.loads.g_at(pt[None, :], 0.7)[0]
-                traces = cr_values(mesh4.triangle_coords(tri), pt[None, :])[0]
+                traces = space4.basis_values(tri, pt[None, :])[0]
                 for j in range(3):
                     for c in range(2):
                         d = space4.local_dofs[tri, j, c]

@@ -165,6 +165,15 @@ class TestConfigParsing:
         assert main(["solve", "--config", ini]) == 1
         assert "config error: loads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["right", "bottom"])  # clamped, contact
+    def test_traction_side_without_neumann_edges_exit_1(self, tmp_path, capsys, side):
+        # such a side carries no load, so the run would report zero displacements
+        ini = write_ini(tmp_path, PRESET_INI.replace("g_sides = left", f"g_sides = {side}"))
+        with pytest.raises(ConfigError, match=f"loads: traction side '{side}' has no neumann"):
+            load_config(ini)
+        assert main(["study", "--config", ini]) == 1
+        assert f"config error: loads: traction side '{side}'" in capsys.readouterr().err
+
     def test_no_dirichlet_side(self, tmp_path):
         text = PRESET_INI.replace("right = dirichlet", "right = neumann")
         with pytest.raises(ConfigError, match="domain"):

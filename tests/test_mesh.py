@@ -245,24 +245,17 @@ class TestRefineUniform:
 
 class TestEdgeSets:
     def test_partition_2x2(self, mesh2):
-        sets = edge_sets(mesh2)
-        assert len(sets.interior) == 8
-        assert len(sets.dirichlet) == 2
-        # stabilization set: interior plus Dirichlet
-        assert len(sets.stabilized) == 10
-        assert set(sets.stabilized) == set(sets.interior) | set(sets.dirichlet)
-
-    def test_partition_covers_all_edges(self, mesh4):
-        sets = edge_sets(mesh4)
-        total = (len(sets.interior) + len(sets.dirichlet)
-                 + len(sets.neumann) + len(sets.contact))
-        assert total == mesh4.n_edges
-        all_idx = np.concatenate([sets.interior, sets.dirichlet, sets.neumann, sets.contact])
-        assert len(np.unique(all_idx)) == mesh4.n_edges
+        # stabilization set: the 8 interior and 2 Dirichlet edges, ascending
+        stabilized = edge_sets(mesh2)
+        want = [e for e in range(mesh2.n_edges)
+                if mesh2.edge_labels[e] in (BoundaryLabel.INTERIOR, BoundaryLabel.DIRICHLET)]
+        assert len(want) == 10
+        assert stabilized.tolist() == want
+        assert np.count_nonzero(mesh2.edge_labels[stabilized] == BoundaryLabel.DIRICHLET) == 2
 
     def test_no_dirichlet_edges_means_interior_only(self):
         m = generate_structured(_all_neumann_ish_domain(), 2)
-        sets = edge_sets(m)
-        assert len(sets.dirichlet) == 0
-        assert np.array_equal(np.sort(sets.stabilized), np.sort(sets.interior))
+        assert not np.any(m.edge_labels == BoundaryLabel.DIRICHLET)
+        interior = np.nonzero(m.edge_tris[:, 1] >= 0)[0]
+        assert np.array_equal(edge_sets(m), interior)
 

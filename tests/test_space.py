@@ -1,9 +1,14 @@
 """CR space layout, local basis, interpolation and prolongation."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from crcontact.analysis import broken_h1_seminorm_error
+import crcontact
+from crcontact.analysis import EnergyNormEvaluator, broken_h1_seminorm_error
+from crcontact.assembly import assemble_stiffness
 from crcontact.mesh import (
     BoundaryLabel,
     Domain,
@@ -11,6 +16,7 @@ from crcontact.mesh import (
     generate_structured,
     refine_uniform,
 )
+from crcontact.solver import TimeGrid, march
 from crcontact.space import (
     CRFunction,
     build_space,
@@ -25,6 +31,13 @@ from conftest import random_cr
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # midpoint of the edge opposite each vertex
 REF_MIDPOINTS = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
+
+
+def values_on(coords, pts):
+    """CR basis values of raw triangle(s) ``coords`` (..., 3, 2) at ``pts`` (..., npts, 2)."""
+    coords = np.asarray(coords, dtype=float)
+    grads, _ = cr_gradients(coords)
+    return cr_values(coords[..., 0, :], grads, np.asarray(pts, dtype=float))
 
 
 class TestDofLayout:
@@ -88,7 +101,7 @@ class TestDofLayout:
 
 class TestLocalBasis:
     def test_defining_property_on_reference_triangle(self):
-        vals = cr_values(REF, REF_MIDPOINTS)
+        vals = values_on(REF, REF_MIDPOINTS)
         assert np.allclose(vals, np.eye(3), atol=1e-14)
 
     def test_defining_property_on_random_triangles(self):
@@ -99,7 +112,7 @@ class TestLocalBasis:
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         coords = coords[signed > 0.2]  # counterclockwise, away from slivers
         mids = 0.5 * (coords[:, [1, 2, 0]] + coords[:, [2, 0, 1]])
-        vals = cr_values(coords, mids)
+        vals = values_on(coords, mids)
         assert len(coords) > 100
         assert np.allclose(vals, np.eye(3), rtol=0, atol=1e-13)
 
@@ -107,7 +120,7 @@ class TestLocalBasis:
         rng = np.random.default_rng(7)
         bary = rng.dirichlet(np.ones(3), size=20)
         pts = bary @ REF
-        vals = cr_values(REF, pts)
+        vals = values_on(REF, pts)
         assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-13)
 
     def test_gradients_match_finite_differences(self):
@@ -119,10 +132,10 @@ class TestLocalBasis:
         p0 = coords.mean(axis=0)
         h = 1e-6
         for j in range(3):
-            fx = (cr_values(coords, [p0 + [h, 0]])[0, j]
-                  - cr_values(coords, [p0 - [h, 0]])[0, j]) / (2 * h)
-            fy = (cr_values(coords, [p0 + [0, h]])[0, j]
-                  - cr_values(coords, [p0 - [0, h]])[0, j]) / (2 * h)
+            fx = (values_on(coords, [p0 + [h, 0]])[0, j]
+                  - values_on(coords, [p0 - [h, 0]])[0, j]) / (2 * h)
+            fy = (values_on(coords, [p0 + [0, h]])[0, j]
+                  - values_on(coords, [p0 - [0, h]])[0, j]) / (2 * h)
             assert grads[j, 0] == pytest.approx(fx, abs=1e-7)
             assert grads[j, 1] == pytest.approx(fy, abs=1e-7)
 
@@ -135,7 +148,43 @@ class TestLocalBasis:
         with pytest.raises(MeshError):
             cr_gradients(batch)
         with pytest.raises(MeshError):
-            cr_values(batch, REF_MIDPOINTS)
+            values_on(batch, REF_MIDPOINTS)
+
+    def test_basis_values_on_an_index_stack(self, space4, mesh4):
+        # a (k, 2) stack of triangle indices, some repeated, reads the space's
+        # stored gradients and must equal the raw-coordinate evaluation exactly
+        tris = np.array([[0, 0], [5, 3], [3, 5], [mesh4.n_triangles - 1, 0], [7, 7]])
+        bary = np.random.default_rng(12).dirichlet(np.ones(3), size=tris.shape + (4,))
+        coords = mesh4.vertices[mesh4.triangles[tris]]  # (k, 2, 3, 2)
+        pts = bary @ coords  # (k, 2, 4, 2)
+        got = space4.basis_values(tris, pts)
+        assert got.shape == tris.shape + (4, 3)
+        assert np.all(got == values_on(coords, pts))
+
+
+class TestBasisData:
+    def test_gradients_computed_once_per_space(self, monkeypatch, config, mesh2, refined2):
+        # count every cr_gradients call, under whichever module binds the name
+        calls = []
+        original = cr_gradients
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for info in pkgutil.iter_modules(crcontact.__path__):
+            module = importlib.import_module(f"crcontact.{info.name}")
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+        coarse, fine = build_space(mesh2), build_space(refined2)
+        assert len(calls) == 2
+        # one level's stiffness, march, norm and prolongation reuse them
+        system = assemble_stiffness(fine, config.material, config.rho)
+        march(system, config.loads, TimeGrid(config.T, 2), config.uzawa)
+        EnergyNormEvaluator(fine, config.material, config.rho)
+        prolongation_matrix(coarse, fine)
+        assert len(calls) == 2
 
 
 class TestInterpolation:
@@ -315,10 +364,10 @@ class TestCRFunction:
         values, gradients = fn.evaluate(pts), fn.gradients()
         tol = 1e-13 * np.max(np.abs(fn.coeffs))
         for t in range(mesh4.n_triangles):
-            coords = mesh4.triangle_coords(t)
+            coords = mesh4.vertices[mesh4.triangles[t]]
             local = padded[space4.local_dofs[t]]  # (3 local edges, 2 components)
             grads, _ = cr_gradients(coords)
-            assert np.allclose(values[t], cr_values(coords, pts[t]) @ local, rtol=0, atol=tol)
+            assert np.allclose(values[t], values_on(coords, pts[t]) @ local, rtol=0, atol=tol)
             assert np.allclose(gradients[t], local.T @ grads, rtol=0, atol=tol)
 
     def test_constrained_components_are_zero(self, space2, mesh2):
