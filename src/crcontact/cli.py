@@ -377,6 +377,8 @@ def main(argv=None) -> int:
         if isinstance(exc, UzawaError):
             tail = ", ".join(f"{incr:.3e}" for incr in (exc.history or [])[-5:])
             print(f"  at time step {exc.step}; last increments: {tail}", file=sys.stderr)
+        elif exc.step is not None:
+            print(f"  at time step {exc.step}", file=sys.stderr)
         return 2
     return 0
 

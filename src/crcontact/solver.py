@@ -19,8 +19,12 @@ no sparse solve per step or iteration, and no n-row work per iteration.
 The stopping test |Z dlambda|_inf < eps still reads all n rows; it is
 evaluated only once |M dlambda|_inf < eps, since the first bounds the
 second, and u = b - Z lambda is formed in that same pass over Z, once per
-step. The final u of every step is checked against
-K u = F(t_n) - c(lambda_n) with the factorization's backward-error test.
+step.
+
+Each step's u is certified to solve K u = F(t_n) - c(lambda_n) to the
+factorization's backward-error tolerance from the residuals of the setup
+solves, without a product with K; the explicit test runs only when that
+bound fails (see ``march``).
 """
 
 from __future__ import annotations
@@ -38,7 +42,12 @@ from crcontact.space import CRFunction
 
 
 class SolverError(RuntimeError):
-    """Raised on linear-solve breakdown (non-SPD matrix or bad residual)."""
+    """Raised on linear-solve breakdown (non-SPD matrix or bad residual).
+
+    When raised by a time step of ``march``, ``step`` names that step.
+    """
+
+    step = None
 
 
 class UzawaError(RuntimeError):
@@ -122,6 +131,12 @@ class TrajectorySolution:
 _RTOL = 1e-12  # backward-error tolerance of every checked solve
 
 
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the rounding bound of k floating-point operations."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1.0 - ku)
+
+
 class SPDFactor:
     """Cached sparse LU factorization of an SPD matrix with residual checks.
 
@@ -140,9 +155,21 @@ class SPDFactor:
         except RuntimeError as exc:  # singular factorization
             raise SolverError(f"factorization failed: {exc}") from exc
         self._norm_K = spla.norm(self.K, np.inf) if self.K.nnz else 0.0
+        # rounding of a residual row: a dot product of q terms, one subtraction
+        self._gamma_res = _gamma(int(np.diff(self.K.indptr).max(initial=0)) + 1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.check(self.lu.solve(rhs), rhs)
+        x = self.lu.solve(rhs)
+        self._solved = self._certificate(x, rhs)
+        return x
+
+    def _certified_solve(self, rhs: np.ndarray):
+        """``solve``, returning x and, per column, its certified residual and |x|.
+
+        ``solve`` keeps the certificate of its check in ``_solved``.
+        """
+        x = self.solve(rhs)
+        return x, self._solved
 
     def check(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Return x if every column solves K x = rhs to the backward-error tolerance.
@@ -150,19 +177,30 @@ class SPDFactor:
         The test is per column of an (n, k) block, so a column with a small
         right-hand side cannot pass on the norm of the large ones.
         """
+        self._certificate(x, rhs)
+        return x
+
+    def _certificate(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Check x as ``check`` does; return per column (certified residual, |x|).
+
+        The certified residual bounds the exact |K x - rhs| (see ``march``).
+        """
         if not np.all(np.isfinite(x)):
             raise SolverError("linear solve produced non-finite values")
         axis = 0 if x.ndim > 1 else None  # a vector's norm skips the slower axis path
         nrhs = np.linalg.norm(rhs, axis=axis)
-        res = np.linalg.norm(self.K @ x - rhs, axis=axis)
+        nx = np.linalg.norm(x, axis=axis)
+        r = self.K @ x
+        r -= rhs
+        res = np.linalg.norm(r, axis=axis)
         # backward-error criterion; reduces to res <= _RTOL*|rhs| for
         # well-scaled right-hand sides and stays meaningful as rhs -> 0
-        bound = _RTOL * (nrhs + self._norm_K * np.linalg.norm(x, axis=axis))
+        bound = _RTOL * (nrhs + self._norm_K * nx)
         fail = res > np.maximum(bound, 1e-300)
         if np.any(fail):
             raise SolverError(f"linear solve residual {np.max(res * fail):.3e} exceeds "
                               f"tolerance in {np.count_nonzero(fail)} of {np.size(fail)} column(s)")
-        return x
+        return np.array([res + self._gamma_res * (self._norm_K * nx + nrhs), nx])
 
 
 def projection_P(chi):
@@ -175,24 +213,28 @@ _BLOCK = 32
 
 
 def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
-                      weights: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+                      weights: np.ndarray, rows: Optional[np.ndarray] = None):
     """Z = K^-1 S^T diag(weights) (n x m), one guarded solve per block of columns.
 
     Given ``rows`` (e.g. the contact rows), only those rows of Z are kept.
     The blocks bound the memory held beside Z: the right-hand side and the
     solution of one block, plus the n x _BLOCK scratch of the solve and of
-    its residual check.
+    its residual check. Returns Z and the (2, m) certified residuals and
+    norms of its full columns (``SPDFactor._certified_solve``).
     """
     n, m = factor.K.shape[0], len(tangent_idx)
     keep = slice(None) if rows is None else rows
     Z = np.empty((n if rows is None else len(rows), m), order="F")
+    certificate = np.empty((2, m))
     for j in range(0, m, _BLOCK):
         cols = slice(j, j + _BLOCK)
         idx = tangent_idx[cols]
         rhs = np.zeros((n, len(idx)), order="F")
         rhs[idx, np.arange(len(idx))] = weights[cols]
-        Z[:, cols] = factor.solve(rhs)[keep]
-    return Z
+        x, certificate[:, cols] = factor._certified_solve(rhs)
+        Z[:, cols] = x[keep]
+        del x  # not held through the next block's solve
+    return Z, certificate
 
 
 def _optimal_rho(Z_tau: np.ndarray, weights: np.ndarray, g_a: float, k_n: float) -> float:
@@ -224,10 +266,10 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
     if factor is None:
         factor = SPDFactor(system.K)
     w = g_a * system.space.contact_edge_lengths
-    return _optimal_rho(_contact_response(factor, idx, w, rows=idx), w, g_a, k_n)
+    return _optimal_rho(_contact_response(factor, idx, w, rows=idx)[0], w, g_a, k_n)
 
 
-def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, tangent_idx: np.ndarray,
+def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, M: np.ndarray, tangent_idx: np.ndarray,
                   g_a: float, prev_tau: np.ndarray, k_n: float, rho_tilde: float,
                   eps: float, max_iter: int, lam0: Optional[np.ndarray] = None):
     """Array-level Uzawa loop on the m x m contact block.
@@ -235,7 +277,8 @@ def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, tangent_idx: np.ndarray,
     With u_base = K^-1 F and Z = K^-1 S^T diag(g_a w), u = u_base - Z lambda
     solves K u = F - c(lambda), c_i = g_a * w_i * lambda_i on the tangential
     rows. The multiplier update reads only the contact rows u_tau, so the
-    loop runs on M = Z[tangent_idx] and u_tau: each iteration sets
+    loop runs on M = Z[tangent_idx], F-ordered so that M dlambda sums like
+    the contact rows of Z dlambda, and u_tau: each iteration sets
     lambda <- P(lambda + rho_tilde * g_a * velocity) and u_tau <- u_tau - M
     dlambda. It stops when the increment |Z dlambda|_inf over all n rows
     drops below eps. That norm is at least |M dlambda|_inf, so Z dlambda is
@@ -247,8 +290,6 @@ def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, tangent_idx: np.ndarray,
     """
     lam = (np.zeros(Z.shape[1]) if lam0 is None
            else projection_P(np.asarray(lam0, dtype=float)))
-    # in Z's column order, M dlambda sums like the contact rows of Z dlambda
-    M = np.asfortranarray(Z[tangent_idx])
     u_tau = u_base[tangent_idx] - M @ lam
     history = []
     for it in range(1, max_iter + 1):
@@ -272,13 +313,15 @@ def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, tangent_idx: np.ndarray,
 
 
 def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.ndarray],
-                     u_prev: CRFunction, k_n: float, rho_tilde: float, cfg: UzawaConfig,
-                     g_a: float, lam0: Optional[np.ndarray] = None):
+                     M: Optional[np.ndarray], u_prev: CRFunction, k_n: float,
+                     rho_tilde: float, cfg: UzawaConfig, g_a: float,
+                     lam0: Optional[np.ndarray] = None):
     """One backward-Euler step solved by the Uzawa fixed-point iteration.
 
-    ``u_base`` = K^-1 F(t_n) and ``Z`` = K^-1 S^T diag(g_a h_e), or None
-    without contact or friction: the step is then u_base, with zero
-    multipliers and one iteration. Returns (u, multipliers, iterations).
+    ``u_base`` = K^-1 F(t_n), ``Z`` = K^-1 S^T diag(g_a h_e) and ``M`` =
+    Z[contact rows] (F-ordered), both None without contact or friction: the
+    step is then u_base, with zero multipliers and one iteration. Returns
+    (u, multipliers, iterations).
     The multiplier update, with step ``rho_tilde``, uses the tangential
     backward-difference velocity (u - u_prev)_tau / k_n, and the iteration
     stops when the max-norm of successive displacement iterates drops below
@@ -288,9 +331,15 @@ def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.
     if Z is None:
         return CRFunction(space, u_base), np.zeros(len(space.contact_edges)), 1
     idx = space.contact_tangent_dof
-    u, lam, it, _ = uzawa_iterate(u_base, Z, idx, g_a, u_prev.coeffs[idx], k_n,
+    u, lam, it, _ = uzawa_iterate(u_base, Z, M, idx, g_a, u_prev.coeffs[idx], k_n,
                                   rho_tilde, cfg.eps, cfg.max_iter, lam0=lam0)
     return CRFunction(space, u), lam, it
+
+
+def _step_bound(bound, t_n: float, lam: np.ndarray) -> float:
+    """B_n = b_0 + t_n b_1 + |lambda_n| . b_Z from ``march``'s per-level (b_0, b_1, b_Z)."""
+    b_0, b_1, b_Z = bound
+    return b_0 + t_n * b_1 + np.abs(lam) @ b_Z
 
 
 def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
@@ -299,17 +348,35 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     """Backward-Euler marching over the whole time grid.
 
     The march starts from rest, the multiplier step is the optimal one of
-    ``stable_rho_tilde``, and the multiplier is warm-started from the
-    previous step. A level costs one factorization, one block solve per
-    ``_BLOCK`` contact edges for the contact response Z (skipped without
-    contact or friction) and one two-column solve for the responses U_0, U_1
-    to the affine load F(t) = F_0 + t F_1; each step's u is checked against
-    K u = F(t_n) - c(lambda_n). Only the displacements of the last
-    ``keep_last`` nodes are stored (all N+1 when None); the multipliers of
-    every node are. The kept displacements are allocated before the
-    factorization, so free heap memory goes to them and not to SuperLU's
-    mostly unwritten workspace; with every node kept, the peak memory does
-    not vary run to run.
+    ``_optimal_rho`` on the contact block M, and the multiplier is
+    warm-started from the previous step. A level costs one factorization,
+    one block solve per ``_BLOCK`` contact edges for the contact response Z
+    (skipped without contact or friction) and one two-column solve for the
+    responses U_0, U_1 to the affine load F(t) = F_0 + t F_1; M = Z[contact
+    rows] is formed once.
+
+    Each step's u_n = U_0 + t_n U_1 - Z lambda_n is certified against
+    K u = F(t_n) - c(lambda_n) without a product with K. Each setup column x
+    has the certified residual rho = |fl(K x - b)| + gamma_{q+1} (|K|_inf |x|
+    + |b|) (q the most nonzeros in a row of K, gamma_k = k u / (1 - k u) for
+    the unit roundoff u, |K|_2 <= |K|_inf as K is symmetric; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.5). By
+    linearity, with |lambda| <= 1, gamma_K = gamma_{m+3} |K|_inf and
+    w = g_a h_e, the residual of u_n is at most
+
+        B_n = rho_U0 + t_n rho_U1 + sum_j |lambda_j| (rho_Zj + gamma_K |Z_j|)
+              + gamma_K (|U_0| + t_n |U_1|) + gamma_3 (|F_0| + t_n |F_1| + |w|).
+
+    A step passes if B_n < _RTOL |K|_inf |u_n| / 2 < inf, the other half
+    covering the explicit test's own rounding; otherwise (a nan or inf,
+    u = 0, a loose bound) the explicit check runs.
+
+    Only the displacements of the last ``keep_last`` nodes are stored (all
+    N+1 when None); the multipliers of every node are. The kept
+    displacements are allocated before the factorization, so free heap
+    memory goes to them and not to SuperLU's mostly unwritten workspace;
+    with every node kept, the peak memory does not vary run to run. A step
+    that fails raises with its ``step`` set.
     """
     if keep_last is not None and not (isinstance(keep_last, numbers.Integral) and keep_last >= 1):
         raise ValueError("keep_last must be None or an integer of at least 1")
@@ -322,27 +389,38 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     factor = SPDFactor(system.K)
     idx = space.contact_tangent_dof
     m = len(idx)
-    Z, rho_tilde = None, 1.0
+    w = loads.g_a * space.contact_edge_lengths
+    gamma_K = _gamma(m + 3) * factor._norm_K  # rounding of forming u_n, times |K|
+    Z = M = None
+    rho_tilde, b_Z = 1.0, np.zeros(m)
     if m and loads.g_a != 0.0:
-        w = loads.g_a * space.contact_edge_lengths
-        Z = _contact_response(factor, idx, w)
+        Z, (rho_Z, norm_Z) = _contact_response(factor, idx, w)
+        b_Z = rho_Z + gamma_K * norm_Z
+        M = np.asfortranarray(Z[idx])
         # uniform k: the stable step is the same for every time step
-        rho_tilde = _optimal_rho(Z[idx], w, loads.g_a, grid.k)
+        rho_tilde = _optimal_rho(M, w, loads.g_a, grid.k)
     F_0 = assemble_load(space, loads, 0.0)
     F_1 = assemble_load(space, loads, 1.0) - F_0
-    U_0, U_1 = factor.solve(np.column_stack((F_0, F_1))).T
+    U, ((rho_0, rho_1), (norm_0, norm_1)) = factor._certified_solve(np.column_stack((F_0, F_1)))
+    U_0, U_1 = U.T
+    gamma_3 = _gamma(3)  # rounding of forming F(t_n) - c(lambda_n)
+    bound = (rho_0 + gamma_K * norm_0 + gamma_3 * (np.linalg.norm(F_0) + np.linalg.norm(w)),
+             rho_1 + gamma_K * norm_1 + gamma_3 * np.linalg.norm(F_1), b_Z)
+    # the other half covers the explicit test's own rounding
+    tol = 0.5 * _RTOL * factor._norm_K
 
     lam = np.zeros(m)
     multipliers = [lam]
     iters = []
     for n, t_n in enumerate(grid.nodes[1:], start=1):
         try:
-            u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, u, grid.k, rho_tilde,
+            u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, M, u, grid.k, rho_tilde,
                                           cfg, loads.g_a, lam0=lam)
-        except UzawaError as exc:
+            if not _step_bound(bound, t_n, lam) < tol * np.sqrt(u.coeffs @ u.coeffs) < np.inf:
+                factor.check(u.coeffs, F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, lam))
+        except (SolverError, UzawaError) as exc:
             exc.step = n
             raise
-        factor.check(u.coeffs, F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, lam))
         if n >= first:
             coeffs[n - first][:] = u.coeffs
         multipliers.append(lam)

@@ -65,13 +65,16 @@ def random_cr(space, rng, scale=1.0):
 def step_from_load(system, load, u_prev, k_n, cfg, g_a, factor=None, rho_tilde=None):
     """``uzawa_step_solve`` on a load vector, set up as ``march`` does it.
 
-    Passes u_base = K^-1 load, the contact response Z and, unless given,
-    the computed rho_tilde.
+    Passes u_base = K^-1 load, the contact response Z, its contact block M
+    and, unless given, the computed rho_tilde.
     """
     factor = SPDFactor(system.K) if factor is None else factor
     space = system.space
-    Z = (_contact_response(factor, space.contact_tangent_dof, g_a * space.contact_edge_lengths)
-         if g_a and len(space.contact_tangent_dof) else None)
+    idx = space.contact_tangent_dof
+    Z = M = None
+    if g_a and len(idx):
+        Z, _ = _contact_response(factor, idx, g_a * space.contact_edge_lengths)
+        M = np.asfortranarray(Z[idx])
     if rho_tilde is None:
         rho_tilde = stable_rho_tilde(system, g_a, k_n, factor)
-    return uzawa_step_solve(system, factor.solve(load), Z, u_prev, k_n, rho_tilde, cfg, g_a)
+    return uzawa_step_solve(system, factor.solve(load), Z, M, u_prev, k_n, rho_tilde, cfg, g_a)

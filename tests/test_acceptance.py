@@ -229,7 +229,8 @@ def test_criterion_5_oracle_equivalence(small_problem):
         else:
             rho_tilde = 1.0
         factor = SPDFactor(K)
-        u, _, _, _ = uzawa_iterate(factor.solve(F), _contact_response(factor, idx, g * w),
+        Z, _ = _contact_response(factor, idx, g * w)
+        u, _, _, _ = uzawa_iterate(factor.solve(F), Z, np.asfortranarray(Z[idx]),
                                    idx, g, prev, kk, rho_tilde, 1e-12, 100000)
         diff = u - ref
         worst_rand = max(worst_rand, float(np.sqrt(diff @ (K @ diff))))

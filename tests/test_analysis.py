@@ -148,7 +148,8 @@ class TestOracle:
             else:
                 rho_tilde = 1.0
             factor = SPDFactor(K)
-            u, lam, _, _ = uzawa_iterate(factor.solve(F), _contact_response(factor, idx, g_a * w),
+            Z, _ = _contact_response(factor, idx, g_a * w)
+            u, lam, _, _ = uzawa_iterate(factor.solve(F), Z, np.asfortranarray(Z[idx]),
                                          idx, g_a, prev, k, rho_tilde, 1e-12, 100000)
             diff = u - u_ref.ravel() if hasattr(u_ref, "ravel") else u - u_ref
             err = float(np.sqrt(diff @ (K @ diff)))

@@ -397,6 +397,19 @@ class TestMain:
         tail = err.split("last increments:")[1].split(",")
         assert len(tail) == 5 and all(float(x) > 0 for x in tail)
 
+    @pytest.mark.parametrize("command", ["solve", "study"])
+    def test_failed_step_check_exit_2(self, monkeypatch, capsys, tmp_path, command):
+        # zero loads: u = 0, so every step takes the explicit residual check,
+        # which a wrong friction vector fails
+        text = PRESET_INI.replace("gx = 0.1 0 -0.02", "gx = 0 0 0").replace(
+            "gy = -0.01 0 0", "gy = 0 0 0")
+        monkeypatch.setattr("crcontact.solver.friction_rhs",
+                            lambda space, g_a, lam: np.ones(space.n_dofs_free))
+        assert main([command, "--config", write_ini(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "solver failure: " in err and "linear solve residual" in err
+        assert err.endswith("\n  at time step 1\n"), err
+
     def test_negative_level_exit_1(self, capsys):
         assert main(["solve", "--preset", "example-5.1", "--level", "-1"]) == 1
         assert "config error: solve: level must be nonnegative" in capsys.readouterr().err

@@ -8,8 +8,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from crcontact import solver
 from crcontact.analysis import EnergyNormEvaluator, brute_force_vi_oracle, energy_norm
-from crcontact.assembly import assemble_load, assemble_stiffness
+from crcontact.assembly import assemble_load, assemble_stiffness, friction_rhs
 from crcontact.cli import build_meshes, solve_level
 from crcontact.mesh import BoundaryLabel, Domain, generate_structured
 from crcontact.solver import (
@@ -32,6 +33,13 @@ from conftest import random_cr, step_from_load
 
 # friction bound at which every contact edge of the preset sticks at T
 STICK_G_A = 0.12
+# TestTimeRate's load: a constant body force, so F(0) != 0
+BODY_FORCE = {"f": (0.0, -0.05), "f_time": "const", "g_a": 0.012}
+
+
+def level_system(config, level):
+    space = build_space(build_meshes(config, level + 1)[-1])
+    return assemble_stiffness(space, config.material, config.rho)
 
 
 def random_spd(rng, n):
@@ -234,16 +242,15 @@ class TestUzawaIterate:
         # slip on the third edge, stick on the others
         prev_tau = u_base[idx] - Z[idx] @ np.array([0.3, -0.5, 2.0, -0.1])
         rho_tilde = _optimal_rho(Z[idx], w, g_a, k_n)
-        return u_base, Z, idx, g_a, prev_tau, k_n, rho_tilde
+        return u_base, Z, np.asfortranarray(Z[idx]), idx, g_a, prev_tau, k_n, rho_tilde
 
     def test_stopping_rule_reads_all_rows(self, problem):
-        u_base, Z, idx, *_ = problem
+        u_base, Z, M, idx, *rest = problem
         eps = 1e-10
         u, lam, it, history = uzawa_iterate(*problem, eps, 10000)
-        ref_u, ref_lam, ref_it = n_row_uzawa(*problem, eps, 10000)
+        ref_u, ref_lam, ref_it = n_row_uzawa(u_base, Z, idx, *rest, eps, 10000)
         # the contact rows alone would have stopped earlier
-        _, _, m_row_it = n_row_uzawa(u_base[idx], Z[idx], np.arange(len(idx)),
-                                     *problem[3:], eps, 10000)
+        _, _, m_row_it = n_row_uzawa(u_base[idx], M, np.arange(len(idx)), *rest, eps, 10000)
         assert m_row_it < ref_it
         assert it == ref_it == len(history)
         assert np.max(np.abs(lam - ref_lam)) <= 1e-14
@@ -273,13 +280,8 @@ class TestStableRhoTilde:
 class TestSymmetricFactor:
     """Symmetric-mode SuperLU: the default ordering's contact response, less fill."""
 
-    @staticmethod
-    def level(config, level):
-        space = build_space(build_meshes(config, level + 1)[-1])
-        return assemble_stiffness(space, config.material, config.rho)
-
     def test_same_contact_response_and_rho_tilde(self, config):
-        system = self.level(config, 3)
+        system = level_system(config, 3)
         idx, g_a = system.space.contact_tangent_dof, config.loads.g_a
         w = g_a * system.space.contact_edge_lengths
         lu = spla.splu(system.K.tocsc())  # default ordering, one column at a time
@@ -289,11 +291,11 @@ class TestSymmetricFactor:
             e[i] = w_i
             ref[:, j] = lu.solve(e)
         factor = SPDFactor(system.K)
-        Z = _contact_response(factor, idx, w)
+        Z, _ = _contact_response(factor, idx, w)
         assert np.max(np.abs(Z - ref)) <= 1e-10 * np.max(np.abs(ref))
         # 37 columns: one full block and a partial one
         tiled = np.concatenate([idx, idx, idx[:5]])
-        Z37 = _contact_response(factor, tiled, np.concatenate([w, w, w[:5]]))
+        Z37, _ = _contact_response(factor, tiled, np.concatenate([w, w, w[:5]]))
         ref37 = np.hstack([ref, ref, ref[:, :5]])
         assert np.max(np.abs(Z37 - ref37)) <= 1e-10 * np.max(np.abs(ref))
         k = config.T / (config.N * 2**3)
@@ -302,7 +304,7 @@ class TestSymmetricFactor:
         assert stable_rho_tilde(system, g_a, k) == pytest.approx(rho_ref, rel=1e-10)
 
     def test_less_fill_than_default_ordering(self, config):
-        K = self.level(config, 4).K
+        K = level_system(config, 4).K
         lu, default = SPDFactor(K).lu, spla.splu(K.tocsc())
         assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
 
@@ -430,6 +432,86 @@ class TestMarch:
                 assert residual >= -1e-6 * scale
 
 
+def spied_march(monkeypatch, system, loads, grid, cfg, bound=None):
+    """``march``, recording each step's B_n and counting its explicit per-step checks.
+
+    Given ``bound``, every step's B_n reads that value instead.
+    """
+    bounds, checks = [], []
+    step_bound, check = solver._step_bound, SPDFactor.check
+
+    def spy_bound(*args):
+        bounds.append(step_bound(*args) if bound is None else bound)
+        return bounds[-1]
+
+    def spy_check(self, *args):
+        checks.append(args)
+        return check(self, *args)
+
+    monkeypatch.setattr(solver, "_step_bound", spy_bound)
+    monkeypatch.setattr(SPDFactor, "check", spy_check)
+    traj = march(system, loads, grid, cfg)
+    # ``solve`` certifies its own result, so every check is a step's
+    return traj, bounds, len(checks)
+
+
+class TestStepCertificate:
+    """A step's residual is bounded from the setup residuals; K u is formed only as a fallback."""
+
+    @pytest.mark.parametrize("change,level,eps", [
+        ({}, 0, None), ({}, 1, None), ({}, 2, None), ({}, 3, None),
+        ({"g_a": STICK_G_A}, 0, None), ({"g_a": STICK_G_A}, 1, None),
+        ({"g_a": STICK_G_A}, 2, None),
+        (BODY_FORCE, 2, 1e-12),
+    ], ids=["preset-L0", "preset-L1", "preset-L2", "preset-L3",
+            "stick-L0", "stick-L1", "stick-L2", "body-force-L2"])
+    def test_bound_covers_explicit_residual(self, monkeypatch, config, change, level, eps):
+        loads = dataclasses.replace(config.loads, **change)
+        cfg = config.uzawa if eps is None else UzawaConfig(eps=eps, max_iter=100000)
+        system = level_system(config, level)
+        space = system.space
+        grid = TimeGrid(T=config.T, N=config.N * 2**level)
+        traj, bounds, _ = spied_march(monkeypatch, system, loads, grid, cfg)
+        F_0 = assemble_load(space, loads, 0.0)
+        F_1 = assemble_load(space, loads, 1.0) - F_0
+        assert len(bounds) == grid.N
+        for B, t_n, u, lam in zip(bounds, grid.nodes[1:], traj.displacements[1:],
+                                  traj.multipliers[1:], strict=True):
+            rhs = F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, lam)
+            assert np.linalg.norm(system.K @ u.coeffs - rhs) <= B
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_every_preset_step_is_certified(self, monkeypatch, config, level):
+        # 40 + 80 + 160 + 320 + 640 = 1,240 steps, none with a product with K
+        grid = TimeGrid(T=config.T, N=config.N * 2**level)
+        _, bounds, explicit = spied_march(monkeypatch, level_system(config, level),
+                                          config.loads, grid, config.uzawa)
+        assert (len(bounds), explicit) == (grid.N, 0)
+
+    @pytest.mark.parametrize("g_a", [None, STICK_G_A], ids=["preset", "stick"])
+    @pytest.mark.parametrize("bound", [np.inf, np.nan], ids=["loose", "nan"])
+    def test_fallback_steps_are_bit_identical(self, monkeypatch, config, g_a, bound):
+        loads = config.loads if g_a is None else dataclasses.replace(config.loads, g_a=g_a)
+        system, grid = level_system(config, 1), TimeGrid(T=config.T, N=config.N * 2)
+        ref = march(system, loads, grid, config.uzawa)
+        traj, _, explicit = spied_march(monkeypatch, system, loads, grid, config.uzawa, bound)
+        assert explicit == grid.N
+        assert traj.uzawa_iters == ref.uzawa_iters
+        assert all(np.array_equal(u.coeffs, v.coeffs)
+                   for u, v in zip(traj.displacements, ref.displacements, strict=True))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(traj.multipliers, ref.multipliers, strict=True))
+
+    def test_failed_step_check_names_step(self, monkeypatch, system2, config):
+        # zero loads: u = 0, so no bound certifies a step and each falls back
+        loads = dataclasses.replace(config.loads, g_coeffs=((0.0,) * 3, (0.0,) * 3))
+        monkeypatch.setattr(solver, "friction_rhs",
+                            lambda space, g_a, lam: np.ones(space.n_dofs_free))
+        with pytest.raises(SolverError, match="residual") as exc_info:
+            march(system2, loads, TimeGrid(T=1.0, N=5), UzawaConfig())
+        assert exc_info.value.step == 1
+
+
 def n_space_march(system, loads, grid, cfg):
     """The former march, as a reference: one guarded solve per Uzawa iteration."""
     factor = SPDFactor(system.K)
@@ -496,7 +578,7 @@ class TestTimeRate:
         set far below the time error; the N = 640 row (order 1.216) is left
         out until the inner solve's error is bounded.
         """
-        loads = dataclasses.replace(config.loads, f=(0.0, -0.05), f_time="const", g_a=0.012)
+        loads = dataclasses.replace(config.loads, **BODY_FORCE)
         config = dataclasses.replace(config, loads=loads, error_mode="max",  # every node
                                      uzawa=UzawaConfig(eps=1e-12, max_iter=100000))
         mesh = build_meshes(config, 3)[-1]

@@ -8,10 +8,14 @@ module aliases; a deleted one fails every benchmark run. Each run parses
 the INI text of ``perfbench/workloads.py::config_text``; a config rule that
 refuses it fails the run, and so does a renamed ``ProblemConfig`` field
 that the worker reads (``config.material``, ``config.loads.g_a``, ...).
-The files are loaded by path and only read.
+The traced run's step metrics count the spans of ``uzawa_step_solve``, one
+per time step, and its solve metrics those of ``SPDFactor.solve``, which
+``march`` calls for its setup solves. The files are loaded by path and only
+read.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from crcontact.cli import load_config
+from crcontact.cli import example_51_config, load_config, run_convergence_study
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -118,3 +122,32 @@ def test_every_workload_config_loads(tmp_path, seed):
         missing = [".".join(["config"] + chain) for chain in chains
                    if resolve(config, chain) is MISSING]
         assert not missing, (name, missing)
+
+
+def test_traced_study_steps_and_setup_solves(monkeypatch):
+    spans = load_by_path("perfbench_spans", SPANS)
+    # let monkeypatch restore every name the tracer rebinds
+    for layer in ("",) + tuple(f".{name}" for name in spans.LAYERS):
+        module = importlib.import_module(f"crcontact{layer}")
+        for attr, value in list(vars(module).items()):
+            if callable(value):
+                monkeypatch.setattr(module, attr, value)
+    for layer, names in spans.TRACED.items():
+        for cls_name, method in (name.split(".") for name in names if "." in name):
+            cls = getattr(importlib.import_module(f"crcontact.{layer}"), cls_name)
+            monkeypatch.setattr(cls, method, vars(cls)[method])
+    tracer = spans.Tracer("contract")
+    tracer.install()
+    config = example_51_config()
+    run_convergence_study(dataclasses.replace(config, levels=2))
+    marches = [s for s in tracer.spans if s["name"] == "solver.march"]
+    assert len(marches) == 2
+    for level, march in enumerate(marches):
+        children = [s["name"] for s in tracer.spans if s["parent"] == march["id"]]
+        assert children.count("solver.uzawa_step_solve") == config.N * 2**level
+        # one contact-response block (2 and 4 contact edges) and the load pair
+        assert children.count("solver.SPDFactor.solve") == 2
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["solver.step_calls"] == 3 * config.N
+    assert metrics["solver.spd_solves"] == 4
+    assert (metrics["solver.uzawa_iters_total"], metrics["solver.uzawa_iters_max"]) == (244, 77)
