@@ -181,19 +181,17 @@ def minimize_tresca_quadratic(K, F, tangent_idx, weights, prev_tangent,
 
 
 def brute_force_vi_oracle(system: DiscreteSystem, load: np.ndarray,
-                          u_prev: CRFunction, k_n: float, g_a: float,
+                          u_prev: CRFunction, g_a: float,
                           tol: float = 1e-10) -> CRFunction:
     """Independent minimizer of the backward-Euler step functional.
 
     The step solves min 1/2 a_h(u,u) - (l,u) + k_n j((u - u_prev)/k_n);
-    positive homogeneity of j cancels the step length, so k_n does not
-    appear in the reduced objective. Intended for desk-scale systems.
+    positive homogeneity of j cancels k_n, so the oracle minimizes
+    1/2 a_h(u,u) - (l,u) + j(u - u_prev). Intended for desk-scale systems.
     """
     n = system.K.shape[0]
     if n > 2000:
         raise ValueError(f"oracle is for small systems (got {n} free DOFs)")
-    if k_n <= 0:
-        raise ValueError("time step must be positive")
     space = system.space
     prev = u_prev.coeffs[space.contact_tangent_dof]
     u = minimize_tresca_quadratic(system.K, load, space.contact_tangent_dof,

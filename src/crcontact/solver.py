@@ -4,10 +4,13 @@ Each step solves the frictional variational inequality with the Uzawa
 fixed-point iteration on the contact multipliers:
 
     K u = F(t_n) - c(lambda),  c = S^T diag(g_a h_e) lambda
-    lambda <- P(lambda + rho_tilde * g_a * (u - u_prev)_tau / k_n)
+    lambda <- P(lambda + s (u - u_prev)_tau),  s = 2 / (mu_min + mu_max)
 
-with P the clamp onto [-1, 1] and S the selection of the tangential
-contact DOFs. The iteration runs in contact space. Once per level, ``march``
+with P the clamp onto [-1, 1], S the selection of the tangential contact
+DOFs and mu the eigenvalues of the contact block M below. The paper's step
+rho_tilde g_a / k_n is s: j is positively homogeneous, so k_n cancels, and
+s depends on neither k_n nor the load, so one s serves every step of a
+level. The iteration runs in contact space. Once per level, ``march``
 factors K (SuperLU in symmetric mode) and computes the contact response
 Z = K^-1 S^T diag(g_a h_e) (the Delassus operator of nonsmooth contact
 dynamics, solved in blocks of contact edges) and, in one two-column solve,
@@ -91,8 +94,8 @@ class TimeGrid:
 class UzawaConfig:
     """Inner iteration parameters.
 
-    The multiplier step rho_tilde is not one of them: ``march`` computes the
-    optimal step from the spectrum of the contact Schur complement.
+    The multiplier step is not one of them: ``march`` computes the optimal
+    s = 2 / (mu_min + mu_max) from the spectrum of the contact block M.
     """
 
     eps: float = 1e-8
@@ -166,7 +169,8 @@ class SPDFactor:
     def _certified_solve(self, rhs: np.ndarray):
         """``solve``, returning x and, per column, its certified residual and |x|.
 
-        ``solve`` keeps the certificate of its check in ``_solved``.
+        ``solve`` keeps it in ``_solved``: the benchmark's tracer wraps ``solve``
+        and reads its one return value (ROADMAP item 5 removes the tracer).
         """
         x = self.solve(rhs)
         return x, self._solved
@@ -237,28 +241,28 @@ def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
     return Z, certificate
 
 
-def _optimal_rho(Z_tau: np.ndarray, weights: np.ndarray, g_a: float, k_n: float) -> float:
-    """rho_tilde minimizing the spectral radius of I - rho_tilde*(g_a/k_n)*M.
+def _optimal_step(M: np.ndarray, weights: np.ndarray) -> float:
+    """The step s = 2 / (mu_min + mu_max) minimizing the spectral radius of I - s M.
 
-    ``Z_tau`` holds the contact rows of Z, i.e. the Schur complement M.
+    ``M`` holds the contact rows of Z, i.e. the Schur complement, with eigenvalues mu.
     """
     # symmetrize in the W^(1/2)-weighted sense before taking eigenvalues
     s = np.sqrt(weights)
-    Msym = (Z_tau * s[None, :]) / s[:, None]
+    Msym = (M * s[None, :]) / s[:, None]
     eigs = np.linalg.eigvalsh(0.5 * (Msym + Msym.T))
     if eigs[0] <= 0:
         raise SolverError("contact Schur complement is not positive definite")
-    return 2.0 * k_n / (g_a * (eigs[0] + eigs[-1]))
+    return 2.0 / (eigs[0] + eigs[-1])
 
 
 def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
                      factor: Optional[SPDFactor] = None) -> float:
-    """The multiplier step that ``march`` computes from its own contact response.
+    """The paper's step rho_tilde = k_n s / g_a for the step s that ``march`` uses.
 
-    The fixed-point iteration matrix is I - rho_tilde*(g_a/k_n)*M with
-    M = S K^-1 S^T W the tangential contact Schur complement (S selects
-    tangential contact DOFs, W = diag(g_a h_e)); the returned step
-    2 k_n / (g_a (min eig M + max eig M)) minimizes its spectral radius.
+    The iteration matrix is I - s M with M = S K^-1 S^T W the tangential
+    contact Schur complement (S selects tangential contact DOFs, W =
+    diag(g_a h_e)); s = 2 / (min eig M + max eig M) minimizes its spectral
+    radius. Returns 1 without contact or friction.
     """
     idx = system.space.contact_tangent_dof
     if len(idx) == 0 or g_a == 0.0:
@@ -266,12 +270,11 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
     if factor is None:
         factor = SPDFactor(system.K)
     w = g_a * system.space.contact_edge_lengths
-    return _optimal_rho(_contact_response(factor, idx, w, rows=idx)[0], w, g_a, k_n)
+    return k_n / g_a * _optimal_step(_contact_response(factor, idx, w, rows=idx)[0], w)
 
 
 def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, M: np.ndarray, tangent_idx: np.ndarray,
-                  g_a: float, prev_tau: np.ndarray, k_n: float, rho_tilde: float,
-                  eps: float, max_iter: int, lam0: Optional[np.ndarray] = None):
+                  prev_tau: np.ndarray, lam: np.ndarray, step: float, eps: float, max_iter: int):
     """Array-level Uzawa loop on the m x m contact block.
 
     With u_base = K^-1 F and Z = K^-1 S^T diag(g_a w), u = u_base - Z lambda
@@ -279,22 +282,19 @@ def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, M: np.ndarray, tangent_idx:
     rows. The multiplier update reads only the contact rows u_tau, so the
     loop runs on M = Z[tangent_idx], F-ordered so that M dlambda sums like
     the contact rows of Z dlambda, and u_tau: each iteration sets
-    lambda <- P(lambda + rho_tilde * g_a * velocity) and u_tau <- u_tau - M
+    lambda <- P(lambda + step * (u_tau - prev_tau)) and u_tau <- u_tau - M
     dlambda. It stops when the increment |Z dlambda|_inf over all n rows
     drops below eps. That norm is at least |M dlambda|_inf, so Z dlambda is
     formed only once |M dlambda|_inf < eps, together with Z lambda in one
     two-column product; u = u_base - Z lambda is formed on stopping (or
     failing). ``history`` holds |M dlambda|_inf per iteration, and
-    |Z dlambda|_inf at those candidates. Starts from lambda = P(lam0), or
-    zero when lam0 is None. Returns (u, lambda, iterations, history).
+    |Z dlambda|_inf at those candidates. Starts from ``lam``, which must lie
+    in [-1, 1]. Returns (u, lambda, iterations, history).
     """
-    lam = (np.zeros(Z.shape[1]) if lam0 is None
-           else projection_P(np.asarray(lam0, dtype=float)))
     u_tau = u_base[tangent_idx] - M @ lam
     history = []
     for it in range(1, max_iter + 1):
-        vel_tau = (u_tau - prev_tau) / k_n
-        lam_new = projection_P(lam + rho_tilde * g_a * vel_tau)
+        lam_new = projection_P(lam + step * (u_tau - prev_tau))
         dlam = lam_new - lam
         du_tau = M @ dlam
         u_tau = u_tau - du_tau
@@ -313,26 +313,25 @@ def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, M: np.ndarray, tangent_idx:
 
 
 def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.ndarray],
-                     M: Optional[np.ndarray], u_prev: CRFunction, k_n: float,
-                     rho_tilde: float, cfg: UzawaConfig, g_a: float,
-                     lam0: Optional[np.ndarray] = None):
+                     M: Optional[np.ndarray], u_prev: CRFunction, lam: np.ndarray,
+                     step: Optional[float], cfg: UzawaConfig):
     """One backward-Euler step solved by the Uzawa fixed-point iteration.
 
     ``u_base`` = K^-1 F(t_n), ``Z`` = K^-1 S^T diag(g_a h_e) and ``M`` =
     Z[contact rows] (F-ordered), both None without contact or friction: the
     step is then u_base, with zero multipliers and one iteration. Returns
     (u, multipliers, iterations).
-    The multiplier update, with step ``rho_tilde``, uses the tangential
-    backward-difference velocity (u - u_prev)_tau / k_n, and the iteration
-    stops when the max-norm of successive displacement iterates drops below
-    cfg.eps. ``lam0`` warm-starts the multiplier.
+    From the multiplier ``lam`` in [-1, 1], each update adds ``step`` times
+    (u - u_prev)_tau, the paper's rho_tilde g_a (u - u_prev)_tau / k_n. The
+    iteration stops when the max-norm of successive displacement iterates
+    drops below cfg.eps.
     """
     space = system.space
     if Z is None:
         return CRFunction(space, u_base), np.zeros(len(space.contact_edges)), 1
     idx = space.contact_tangent_dof
-    u, lam, it, _ = uzawa_iterate(u_base, Z, M, idx, g_a, u_prev.coeffs[idx], k_n,
-                                  rho_tilde, cfg.eps, cfg.max_iter, lam0=lam0)
+    u, lam, it, _ = uzawa_iterate(u_base, Z, M, idx, u_prev.coeffs[idx], lam, step,
+                                  cfg.eps, cfg.max_iter)
     return CRFunction(space, u), lam, it
 
 
@@ -348,7 +347,7 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     """Backward-Euler marching over the whole time grid.
 
     The march starts from rest, the multiplier step is the optimal one of
-    ``_optimal_rho`` on the contact block M, and the multiplier is
+    ``_optimal_step`` on the contact block M, and the multiplier is
     warm-started from the previous step. A level costs one factorization,
     one block solve per ``_BLOCK`` contact edges for the contact response Z
     (skipped without contact or friction) and one two-column solve for the
@@ -391,14 +390,13 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     m = len(idx)
     w = loads.g_a * space.contact_edge_lengths
     gamma_K = _gamma(m + 3) * factor._norm_K  # rounding of forming u_n, times |K|
-    Z = M = None
-    rho_tilde, b_Z = 1.0, np.zeros(m)
+    Z = M = step = None
+    b_Z = np.zeros(m)
     if m and loads.g_a != 0.0:
         Z, (rho_Z, norm_Z) = _contact_response(factor, idx, w)
         b_Z = rho_Z + gamma_K * norm_Z
         M = np.asfortranarray(Z[idx])
-        # uniform k: the stable step is the same for every time step
-        rho_tilde = _optimal_rho(M, w, loads.g_a, grid.k)
+        step = _optimal_step(M, w)
     F_0 = assemble_load(space, loads, 0.0)
     F_1 = assemble_load(space, loads, 1.0) - F_0
     U, ((rho_0, rho_1), (norm_0, norm_1)) = factor._certified_solve(np.column_stack((F_0, F_1)))
@@ -414,8 +412,7 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     iters = []
     for n, t_n in enumerate(grid.nodes[1:], start=1):
         try:
-            u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, M, u, grid.k, rho_tilde,
-                                          cfg, loads.g_a, lam0=lam)
+            u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, M, u, lam, step, cfg)
             if not _step_bound(bound, t_n, lam) < tol * np.sqrt(u.coeffs @ u.coeffs) < np.inf:
                 factor.check(u.coeffs, F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, lam))
         except (SolverError, UzawaError) as exc:

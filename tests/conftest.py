@@ -7,7 +7,7 @@ from crcontact.assembly import assemble_stiffness
 from crcontact.cli import example_51_config
 from crcontact.material import MaterialModel
 from crcontact.mesh import generate_structured, refine_uniform
-from crcontact.solver import SPDFactor, _contact_response, stable_rho_tilde, uzawa_step_solve
+from crcontact.solver import SPDFactor, _contact_response, _optimal_step, uzawa_step_solve
 from crcontact.space import CRFunction, build_space
 
 
@@ -62,19 +62,21 @@ def random_cr(space, rng, scale=1.0):
     return CRFunction(space, scale * rng.standard_normal(space.n_dofs_free))
 
 
-def step_from_load(system, load, u_prev, k_n, cfg, g_a, factor=None, rho_tilde=None):
+def step_from_load(system, load, u_prev, cfg, g_a, factor=None, step=None):
     """``uzawa_step_solve`` on a load vector, set up as ``march`` does it.
 
-    Passes u_base = K^-1 load, the contact response Z, its contact block M
-    and, unless given, the computed rho_tilde.
+    Passes u_base = K^-1 load, the contact response Z, its contact block M,
+    zero multipliers and, unless given, the computed step.
     """
     factor = SPDFactor(system.K) if factor is None else factor
     space = system.space
     idx = space.contact_tangent_dof
     Z = M = None
     if g_a and len(idx):
-        Z, _ = _contact_response(factor, idx, g_a * space.contact_edge_lengths)
+        w = g_a * space.contact_edge_lengths
+        Z, _ = _contact_response(factor, idx, w)
         M = np.asfortranarray(Z[idx])
-    if rho_tilde is None:
-        rho_tilde = stable_rho_tilde(system, g_a, k_n, factor)
-    return uzawa_step_solve(system, factor.solve(load), Z, M, u_prev, k_n, rho_tilde, cfg, g_a)
+        if step is None:
+            step = _optimal_step(M, w)
+    return uzawa_step_solve(system, factor.solve(load), Z, M, u_prev, np.zeros(len(idx)),
+                            step, cfg)

@@ -105,14 +105,13 @@ class TestInterMeshError:
 class TestOracle:
     def test_zero_load(self, system2, space2, config):
         u = brute_force_vi_oracle(system2, np.zeros(space2.n_dofs_free),
-                                  CRFunction.zero(space2), 0.025, config.loads.g_a)
+                                  CRFunction.zero(space2), config.loads.g_a)
         assert np.max(np.abs(u.coeffs)) <= 1e-12
 
     def test_frictionless_matches_direct_solve(self, system2, space2, config):
         from crcontact.assembly import assemble_load
         load = assemble_load(space2, config.loads, 1.0)
-        u = brute_force_vi_oracle(system2, load, CRFunction.zero(space2),
-                                  0.025, g_a=0.0)
+        u = brute_force_vi_oracle(system2, load, CRFunction.zero(space2), g_a=0.0)
         direct = SPDFactor(system2.K).solve(load)
         assert np.max(np.abs(u.coeffs - direct)) <= 1e-9
 
@@ -120,8 +119,7 @@ class TestOracle:
         big = sp.eye(5000, format="csr")
         fake = DiscreteSystem(space2, big)
         with pytest.raises(ValueError):
-            brute_force_vi_oracle(fake, np.zeros(5000), CRFunction.zero(space2),
-                                  0.025, 0.001)
+            brute_force_vi_oracle(fake, np.zeros(5000), CRFunction.zero(space2), 0.001)
 
     def test_agrees_with_uzawa_on_random_systems(self):
         """Uzawa and the proximal-gradient oracle on synthetic systems."""
@@ -135,7 +133,6 @@ class TestOracle:
             g_a = rng.uniform(0.0, 0.01)
             w = rng.uniform(0.5, 2.0, m)
             prev = 0.01 * rng.standard_normal(m)
-            k = 0.05
 
             u_ref = minimize_tresca_quadratic(K, F, idx, g_a * w, prev, tol=1e-12)
             if g_a > 1e-14:
@@ -144,13 +141,13 @@ class TestOracle:
                 s = np.sqrt(g_a * w)
                 eigs = np.linalg.eigvalsh(0.5 * (M * s[None, :] / s[:, None]
                                                  + (M * s[None, :] / s[:, None]).T))
-                rho_tilde = 2.0 * k / (g_a * (eigs[0] + eigs[-1]))
+                step = 2.0 / (eigs[0] + eigs[-1])
             else:
-                rho_tilde = 1.0
+                step = 1.0
             factor = SPDFactor(K)
             Z, _ = _contact_response(factor, idx, g_a * w)
             u, lam, _, _ = uzawa_iterate(factor.solve(F), Z, np.asfortranarray(Z[idx]),
-                                         idx, g_a, prev, k, rho_tilde, 1e-12, 100000)
+                                         idx, prev, np.zeros(m), step, 1e-12, 100000)
             diff = u - u_ref.ravel() if hasattr(u_ref, "ravel") else u - u_ref
             err = float(np.sqrt(diff @ (K @ diff)))
             scale = float(np.sqrt(u_ref @ (K @ u_ref)))

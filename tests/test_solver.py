@@ -21,7 +21,7 @@ from crcontact.solver import (
     UzawaConfig,
     UzawaError,
     _contact_response,
-    _optimal_rho,
+    _optimal_step,
     march,
     projection_P,
     stable_rho_tilde,
@@ -156,8 +156,7 @@ class TestUzawaStep:
     def test_zero_loads_fixed_point(self, system2, space2, config):
         cfg = UzawaConfig()
         u, lam, it = step_from_load(system2, np.zeros(space2.n_dofs_free),
-                                    CRFunction.zero(space2), 0.025, cfg,
-                                    config.loads.g_a)
+                                    CRFunction.zero(space2), cfg, config.loads.g_a)
         assert it == 1
         assert np.all(u.coeffs == 0.0)
         assert np.all(lam == 0.0)
@@ -165,8 +164,7 @@ class TestUzawaStep:
     def test_frictionless_matches_linear_solve(self, system2, space2, config):
         load = assemble_load(space2, config.loads, 1.0)
         cfg = UzawaConfig()
-        u, lam, it = step_from_load(system2, load, CRFunction.zero(space2),
-                                    0.025, cfg, g_a=0.0)
+        u, lam, it = step_from_load(system2, load, CRFunction.zero(space2), cfg, g_a=0.0)
         direct = SPDFactor(system2.K).solve(load)
         assert np.max(np.abs(u.coeffs - direct)) <= 1e-9 * max(1, np.max(np.abs(direct)))
         assert np.all(lam == 0.0)
@@ -176,8 +174,8 @@ class TestUzawaStep:
         load = assemble_load(space2, config.loads, k)
         cfg = UzawaConfig(eps=1e-12)
         u, lam, _ = step_from_load(system2, load, CRFunction.zero(space2),
-                                   k, cfg, config.loads.g_a)
-        ref = brute_force_vi_oracle(system2, load, CRFunction.zero(space2), k,
+                                   cfg, config.loads.g_a)
+        ref = brute_force_vi_oracle(system2, load, CRFunction.zero(space2),
                                     config.loads.g_a, tol=1e-12)
         err = energy_norm(u - ref, material, config.rho).total
         scale = energy_norm(ref, material, config.rho).total
@@ -189,8 +187,7 @@ class TestUzawaStep:
         load = assemble_load(space2, config.loads, 1.0)
         cfg = UzawaConfig(eps=1e-14, max_iter=3)
         with pytest.raises(UzawaError) as exc_info:
-            step_from_load(system2, load, CRFunction.zero(space2), 0.025,
-                           cfg, STICK_G_A)
+            step_from_load(system2, load, CRFunction.zero(space2), cfg, STICK_G_A)
         err = exc_info.value
         assert err.last_u is not None
         assert err.last_lam is not None
@@ -198,25 +195,24 @@ class TestUzawaStep:
 
     def test_fixed_point_independent_of_rho_tilde(self, system2, space2,
                                                   material, config):
-        k = 0.025
+        k, g_a = 0.025, config.loads.g_a
         load = assemble_load(space2, config.loads, k)
-        auto = stable_rho_tilde(system2, config.loads.g_a, k)
+        auto = stable_rho_tilde(system2, g_a, k) * g_a / k
         results = []
         cfg = UzawaConfig(eps=1e-13, max_iter=100000)
-        for rho_tilde in (0.5 * auto, auto):
-            u, _, _ = step_from_load(system2, load, CRFunction.zero(space2),
-                                     k, cfg, config.loads.g_a, rho_tilde=rho_tilde)
+        for step in (0.5 * auto, auto):
+            u, _, _ = step_from_load(system2, load, CRFunction.zero(space2), cfg, g_a, step=step)
             results.append(u)
         diff = energy_norm(results[0] - results[1], material, config.rho).total
         scale = energy_norm(results[1], material, config.rho).total
         assert diff <= 1e-7 * scale
 
 
-def n_row_uzawa(u_base, Z, idx, g_a, prev_tau, k_n, rho_tilde, eps, max_iter):
+def n_row_uzawa(u_base, Z, idx, prev_tau, lam, step, eps, max_iter):
     """The loop over all n rows of u, as a reference: stop on |Z dlambda|_inf."""
-    u, lam = u_base.copy(), np.zeros(Z.shape[1])
+    u = u_base - Z @ lam
     for it in range(1, max_iter + 1):
-        lam_new = projection_P(lam + rho_tilde * g_a * (u[idx] - prev_tau) / k_n)
+        lam_new = projection_P(lam + step * (u[idx] - prev_tau))
         du = Z @ (lam_new - lam)
         u, lam = u - du, lam_new
         if np.max(np.abs(du)) < eps:
@@ -231,7 +227,7 @@ class TestUzawaIterate:
     def problem(self):
         # a synthetic SPD system whose rows off contact dominate Z dlambda
         rng = np.random.default_rng(5)
-        n, idx, g_a, k_n = 12, np.array([1, 4, 7, 10]), 0.1, 0.1
+        n, idx, g_a = 12, np.array([1, 4, 7, 10]), 0.1
         w = g_a * rng.uniform(0.5, 1.5, len(idx))
         K = random_spd(rng, n).toarray()
         rhs = np.zeros((n, len(idx)))
@@ -241,8 +237,8 @@ class TestUzawaIterate:
         u_base = np.linalg.solve(K, rng.standard_normal(n))
         # slip on the third edge, stick on the others
         prev_tau = u_base[idx] - Z[idx] @ np.array([0.3, -0.5, 2.0, -0.1])
-        rho_tilde = _optimal_rho(Z[idx], w, g_a, k_n)
-        return u_base, Z, np.asfortranarray(Z[idx]), idx, g_a, prev_tau, k_n, rho_tilde
+        M = np.asfortranarray(Z[idx])
+        return u_base, Z, M, idx, prev_tau, np.zeros(len(idx)), _optimal_step(M, w)
 
     def test_stopping_rule_reads_all_rows(self, problem):
         u_base, Z, M, idx, *rest = problem
@@ -275,6 +271,23 @@ class TestStableRhoTilde:
 
     def test_trivial_without_contact(self, system2):
         assert stable_rho_tilde(system2, 0.0, 0.025) == 1.0
+
+    def test_is_the_step_march_uses(self, monkeypatch, config):
+        # the setup workload times stable_rho_tilde in place of march's own step
+        system, g_a = level_system(config, 2), config.loads.g_a
+        steps, step_solve = [], solver.uzawa_step_solve
+
+        def spy(system, u_base, Z, M, u_prev, lam, step, cfg):
+            steps.append(step)
+            return step_solve(system, u_base, Z, M, u_prev, lam, step, cfg)
+
+        monkeypatch.setattr(solver, "uzawa_step_solve", spy)
+        k = config.T / (config.N * 4)
+        for N in (config.N * 4, config.N * 8):  # k and k/2
+            march(system, config.loads, TimeGrid(T=config.T, N=N), config.uzawa)
+        assert len(set(steps)) == 1 and len(steps) == config.N * 12
+        rho_tilde = stable_rho_tilde(system, g_a, k)
+        assert steps[0] == pytest.approx(rho_tilde * g_a / k, rel=1e-12)
 
 
 class TestSymmetricFactor:
@@ -541,10 +554,13 @@ def n_space_march(system, loads, grid, cfg):
 class TestContactSpaceMarch:
     """``march`` iterates in contact space; it must reproduce the n-space loop."""
 
-    @pytest.mark.parametrize("level,total,most", [(0, 1160, 29), (1, 6560, 82),
-                                                  (2, 27040, 169)])
-    def test_stick_regime_uzawa_counts(self, config, level, total, most):
-        loads = dataclasses.replace(config.loads, g_a=STICK_G_A)
+    @pytest.mark.parametrize("g_a,level,total,most", [
+        (None, 0, 51, 10), (None, 1, 193, 77), (None, 2, 457, 169), (None, 3, 1455, 315),
+        (STICK_G_A, 0, 1160, 29), (STICK_G_A, 1, 6560, 82), (STICK_G_A, 2, 27040, 169),
+    ], ids=["preset-L0", "preset-L1", "preset-L2", "preset-L3",
+            "stick-L0", "stick-L1", "stick-L2"])
+    def test_uzawa_counts(self, config, g_a, level, total, most):
+        loads = config.loads if g_a is None else dataclasses.replace(config.loads, g_a=g_a)
         space = build_space(build_meshes(config, level + 1)[-1])
         system = assemble_stiffness(space, config.material, config.rho)
         traj = march(system, loads, TimeGrid(T=config.T, N=config.N * 2**level), config.uzawa)
