@@ -114,6 +114,17 @@ class TestSolveSPD:
         with pytest.raises(SolverError):
             SPDFactor(K).solve(np.ones(3))
 
+    def test_empty_matrix_solves_to_empty(self):
+        x = SPDFactor(sp.csr_matrix((0, 0))).solve(np.zeros(0))
+        assert x.shape == (0,)
+
+    def test_one_by_one(self):
+        assert SPDFactor(sp.csr_matrix([[2.0]])).solve(np.array([3.0])) == [1.5]
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="can only factor square matrices"):
+            SPDFactor(sp.csr_matrix(np.ones((2, 3))))
+
     def test_check_rejects_perturbed_solution(self):
         rng = np.random.default_rng(1)
         K = random_spd(rng, 10)
@@ -148,6 +159,7 @@ class TestSolveSPD:
         factor, rhs = self.scaled_block(3)
         assert factor.solve(rhs[:, 0]).shape == (30,)
         x = factor.solve(rhs)
+        assert x.flags.c_contiguous  # so the residual's K @ x needs no C copy of x
         cols = np.column_stack([factor.solve(b) for b in rhs.T])
         assert np.all(np.max(np.abs(x - cols), axis=0) <= 1e-13 * np.max(np.abs(cols), axis=0))
 
@@ -321,6 +333,26 @@ class TestSymmetricFactor:
         lu, default = SPDFactor(K).lu, spla.splu(K.tocsc())
         assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
 
+    def test_preorder_less_fill_same_solutions(self, config):
+        # the same symmetric-mode SuperLU call on K in its own numbering
+        system = level_system(config, 4)
+        K, idx = system.K, system.space.contact_tangent_dof
+        w = config.loads.g_a * system.space.contact_edge_lengths
+        factor = SPDFactor(K)
+        plain = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+        assert factor.lu.L.nnz + factor.lu.U.nnz < plain.L.nnz + plain.U.nnz
+        e = np.zeros((K.shape[0], len(idx)))
+        e[idx, np.arange(len(idx))] = w
+        ref = plain.solve(e)
+        load = assemble_load(system.space, config.loads, config.T)
+        pairs = ((_contact_response(factor, idx, w)[0], ref),
+                 (_contact_response(factor, idx, w, rows=idx)[0], ref[idx]),
+                 (factor.solve(load), plain.solve(load)))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestMarch:
     def test_zero_everything(self, system2, config):
@@ -356,8 +388,9 @@ class TestMarch:
 
     def test_two_node_march_allocates_no_trajectory(self, config):
         # L3: the all-node trajectory is 321 x 1552 doubles = 4.0 MB; a
-        # two-node march holds Z, the scratch of its block solve (right-hand
-        # side, solution and two residual-check blocks) and a few node vectors
+        # two-node march holds Z, the scratch of its block solve (at most
+        # three blocks at once: right-hand side, solution and residual, within
+        # the four allowed here) and a few node vectors
         space = build_space(build_meshes(config, 4)[-1])
         system = assemble_stiffness(space, config.material, config.rho)
         grid = TimeGrid(T=config.T, N=config.N * 8)
