@@ -8,9 +8,10 @@ midpoint rule per contact edge, whose value is exactly the tangential DOF.
 
 Each term is built in one pass per mesh from the basis data the
 ``CRSpace`` owns: its element gradients, its signed jump traces and its
-basis values at the Neumann Gauss points. The stiffness triplets come from
-the local DOF map and go through ``sparse_from_local``, which drops the
-eliminated (-1) DOFs.
+basis values at the Neumann Gauss points. The stiffness triplets and the
+load and friction vectors come from the space's DOF maps and go through
+``sparse_from_local``, the one scatter, so no term here reads which DOFs are
+eliminated.
 """
 
 from __future__ import annotations
@@ -152,10 +153,9 @@ def assemble_load(space: CRSpace, loads: LoadSpec, t: float) -> np.ndarray:
     w = 0.5 * mesh.edge_lengths[neumann]
     traction = w[:, None, None] * (traces.swapaxes(1, 2) @ gvals)  # (k, 3, 2)
 
-    dofs = np.concatenate([space.local_dofs, space.local_dofs[tris]]).ravel()
-    vals = np.concatenate([body, traction]).ravel()
-    keep = dofs >= 0
-    return np.bincount(dofs[keep], weights=vals[keep], minlength=space.n_dofs_free)
+    dofs = np.concatenate([space.local_dofs, space.local_dofs[tris]])
+    vals = np.concatenate([body, traction])
+    return sparse_from_local(dofs, 0, vals, (space.n_dofs_free, 1)).toarray().ravel()
 
 
 def friction_value(space: CRSpace, g_a: float, v: CRFunction) -> float:
@@ -175,6 +175,6 @@ def friction_rhs(space: CRSpace, g_a: float, lam: np.ndarray) -> np.ndarray:
             f"expected one multiplier per contact edge ({len(space.contact_edges)}), got {lam.shape}")
     if np.any(np.abs(lam) > 1.0 + 1e-12):
         raise AssemblyError("friction multiplier out of [-1, 1]")
-    out = np.zeros(space.n_dofs_free)
-    out[space.contact_tangent_dof] = g_a * space.contact_edge_lengths * lam
-    return out
+    vals = g_a * space.contact_edge_lengths * lam
+    return sparse_from_local(space.contact_tangent_dof, 0, vals,
+                             (space.n_dofs_free, 1)).toarray().ravel()

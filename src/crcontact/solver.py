@@ -272,8 +272,7 @@ def _optimal_step(M: np.ndarray, weights: np.ndarray) -> float:
     return 2.0 / (eigs[0] + eigs[-1])
 
 
-def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
-                     factor: Optional[SPDFactor] = None) -> float:
+def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float, factor: SPDFactor) -> float:
     """The paper's step rho_tilde = k_n s / g_a for the step s that ``march`` uses.
 
     The iteration matrix is I - s M with M = S K^-1 S^T W the tangential
@@ -284,8 +283,6 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float,
     idx = system.space.contact_tangent_dof
     if len(idx) == 0 or g_a == 0.0:
         return 1.0
-    if factor is None:
-        factor = SPDFactor(system.K)
     w = g_a * system.space.contact_edge_lengths
     return k_n / g_a * _optimal_step(_contact_response(factor, idx, w, rows=idx)[0], w)
 

@@ -5,9 +5,12 @@ Dirichlet edges carry no DOFs; contact edges carry only the tangential
 component (the normal one is constrained to zero). Contact edges must be
 axis-aligned so the constraint is a pure coordinate elimination.
 
-A ``CRSpace`` computes the gradients of its basis psi_j = 1 - 2 lambda_j
-once; every consumer reads them through the space. ``sparse_from_local``
-builds each sparse operator over free DOFs and drops the eliminated (-1) ones.
+A ``CRSpace`` holds the one DOF map, ``edge_dofs``, with -1 for an
+eliminated component, and computes the gradients of its basis
+psi_j = 1 - 2 lambda_j once; every consumer reads them through the space.
+``sparse_from_local`` is the one scatter: it builds each sparse operator and
+free-DOF vector and drops the -1 entries. ``CRFunction.edge_values`` is the
+one gather.
 """
 
 from __future__ import annotations
@@ -60,7 +63,10 @@ def cr_values(origin: np.ndarray, grads: np.ndarray, points: np.ndarray) -> np.n
 
 
 def sparse_from_local(rows, cols, vals, shape) -> sp.csr_matrix:
-    """CSR matrix from broadcast local triplets, summing repeats; a -1 row or column is dropped."""
+    """CSR matrix from broadcast local triplets, summing repeats; a -1 row or column is dropped.
+
+    A free-DOF vector is the one column ``sparse_from_local(dofs, 0, vals, (n, 1))``.
+    """
     rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
     keep = (rows >= 0) & (cols >= 0)  # two bool temporaries, not an int64 one
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
@@ -72,9 +78,10 @@ class CRSpace:
     Attributes
     ----------
     mesh : Mesh
-    dof_x, dof_y : (ne,) int arrays mapping edge -> free DOF index, -1 when
-        the component is eliminated (Dirichlet edge, or contact normal)
-    local_dofs : (nt, 3, 2) free DOF indices per triangle / local edge / comp
+    edge_dofs : (ne, 2) int array mapping edge, component -> free DOF index,
+        -1 when the component is eliminated (Dirichlet edge, or contact normal)
+    dof_x, dof_y : (ne,) its two columns
+    local_dofs : (nt, 3, 2) ``edge_dofs`` per triangle / local edge / comp
     contact_edges : indices of contact edges
     contact_tangent_dof : free DOF of the tangential component per contact edge
     n_dofs_reported : 2 x (#edges - #Dirichlet edges)
@@ -101,24 +108,22 @@ class CRSpace:
         count[labels == BoundaryLabel.DIRICHLET] = 0
         count[contact] = 1
         first = np.cumsum(count) - count
-        dof_x = np.where(count == 2, first, -1)
-        dof_y = np.where(count == 2, first + 1, -1)
-        dof_x[contact[horizontal]] = first[contact[horizontal]]
-        dof_y[contact[~horizontal]] = first[contact[~horizontal]]
+        edge_dofs = np.where(count[:, None] == 2, first[:, None] + np.arange(2), -1)
+        edge_dofs[contact, 1 - horizontal] = first[contact]  # the tangential component
+        edge_dofs.setflags(write=False)  # and so its views dof_x, dof_y
 
         self.mesh = mesh
-        self.dof_x = dof_x
-        self.dof_y = dof_y
+        self.edge_dofs = edge_dofs
+        self.dof_x, self.dof_y = edge_dofs.T
         self.n_dofs_free = int(count.sum())
         n_dirichlet = int(np.count_nonzero(labels == BoundaryLabel.DIRICHLET))
         self.n_dofs_reported = 2 * (mesh.n_edges - n_dirichlet)
         self.contact_edges = contact
         self.contact_tangent_dof = first[contact]
 
-        te = mesh.tri_edges
-        self.local_dofs = np.stack([dof_x[te], dof_y[te]], axis=2)
+        self.local_dofs = edge_dofs[mesh.tri_edges]
         self.grads, _ = cr_gradients(mesh.vertices[mesh.triangles])
-        for arr in (self.dof_x, self.dof_y, self.local_dofs, self.contact_edges,
+        for arr in (self.local_dofs, self.contact_edges,
                     self.contact_tangent_dof, self.grads):
             arr.setflags(write=False)
 
@@ -130,9 +135,8 @@ class CRSpace:
         """The two Gauss points on edge(s) e: (2, 2), or (len(e), 2, 2)."""
         a = self.mesh.vertices[self.mesh.edges[e, 0]]
         b = self.mesh.vertices[self.mesh.edges[e, 1]]
-        mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        return mid[..., None, :] + GAUSS2[:, None] * half[..., None, :]
+        return self.mesh.midpoints[e][..., None, :] + GAUSS2[:, None] * half[..., None, :]
 
     def basis_values(self, tris, points: np.ndarray) -> np.ndarray:
         """Basis values at points inside triangles ``tris``: tris.shape + (npts, 3).
@@ -183,17 +187,7 @@ class CRFunction:
     def edge_values(self) -> np.ndarray:
         """Midpoint value per edge: (ne, 2 components), 0 where a component is eliminated."""
         padded = np.append(self.coeffs, 0.0)
-        return padded[np.stack([self.space.dof_x, self.space.dof_y], axis=1)]  # -1: trailing 0
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """The piecewise-linear field at points inside every triangle.
-
-        ``points`` is (nt, npts, 2), row t holding points of triangle t;
-        returns (nt, npts, 2).
-        """
-        mesh = self.space.mesh
-        basis = self.space.basis_values(np.arange(mesh.n_triangles), points)
-        return basis @ self.edge_values()[mesh.tri_edges]
+        return padded[self.space.edge_dofs]  # -1: trailing 0
 
     def gradients(self) -> np.ndarray:
         """Constant displacement gradient per triangle: (nt, 2, 2), [t, i, j] = d u_i / d x_j."""
@@ -214,13 +208,12 @@ def interpolate_cr(v, space: CRSpace) -> CRFunction:
     dropped: Dirichlet edges are skipped and the contact normal component
     is discarded.
     """
-    dofs = np.stack([space.dof_x, space.dof_y], axis=1)
-    edges = np.nonzero(np.any(dofs >= 0, axis=1))[0]
+    edges = np.nonzero(np.any(space.edge_dofs >= 0, axis=1))[0]
     pts = space.edge_gauss_points(edges).reshape(-1, 2)
     vals = np.array([np.asarray(v(x, y), dtype=float) for x, y in pts]).reshape(-1, 2, 2)
-    coeffs = np.zeros(space.n_dofs_free + 1)
-    coeffs[dofs[edges]] = 0.5 * (vals[:, 0] + vals[:, 1])  # -1 lands in the trailing slot
-    return CRFunction(space, coeffs[:-1])
+    means = 0.5 * (vals[:, 0] + vals[:, 1])
+    coeffs = sparse_from_local(space.edge_dofs[edges], 0, means, (space.n_dofs_free, 1))
+    return CRFunction(space, coeffs.toarray().ravel())
 
 
 def prolongation_matrix(coarse_space: CRSpace, fine_space: CRSpace):
@@ -250,8 +243,7 @@ def prolongation_matrix(coarse_space: CRSpace, fine_space: CRSpace):
     traces *= np.where(shared, 1.0, 0.5)[:, None, None]
     cols = coarse_space.local_dofs[parents]  # (ne, 2 parents, 3, 2 comps)
     cols[shared, 1] = -1
-    rows = np.stack([fine_space.dof_x, fine_space.dof_y], axis=1)[:, None, None, :]
-    P = sparse_from_local(rows, cols, traces[..., None],
+    P = sparse_from_local(fine_space.edge_dofs[:, None, None, :], cols, traces[..., None],
                           (fine_space.n_dofs_free, coarse_space.n_dofs_free))
     fine_space._prolongation_cache = (coarse_space, P)
     return P

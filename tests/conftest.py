@@ -62,6 +62,12 @@ def random_cr(space, rng, scale=1.0):
     return CRFunction(space, scale * rng.standard_normal(space.n_dofs_free))
 
 
+def field_at(fn, points):
+    """``fn`` at (nt, npts, 2) points, row t inside triangle t: (nt, npts, 2)."""
+    tris = np.arange(fn.space.mesh.n_triangles)
+    return fn.space.basis_values(tris, points) @ fn.edge_values()[fn.space.mesh.tri_edges]
+
+
 def step_from_load(system, load, u_prev, cfg, g_a, factor=None, step=None):
     """``uzawa_step_solve`` on a load vector, set up as ``march`` does it.
 

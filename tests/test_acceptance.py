@@ -57,7 +57,7 @@ from crcontact.solver import (
     uzawa_iterate,
 )
 from crcontact.space import CRFunction, build_space, interpolate_cr
-from conftest import random_cr, step_from_load
+from conftest import field_at, random_cr, step_from_load
 
 
 def report(num: int, ok: bool, detail: str):
@@ -319,7 +319,7 @@ def test_criterion_9_interpolation():
     rng = np.random.default_rng(1)
     mesh = space.mesh
     pts = rng.dirichlet(np.ones(3), size=(mesh.n_triangles, 3)) @ mesh.vertices[mesh.triangles]
-    got = fn.evaluate(pts)
+    got = field_at(fn, pts)
     want = np.stack([0.5 * (pts[..., 0] - 4.0), np.zeros(pts.shape[:2])], axis=-1)
     worst_lin = float(np.max(np.abs(got - want)))
     lin_ok = worst_lin <= 1e-12

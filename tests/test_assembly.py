@@ -1,5 +1,7 @@
 """Stiffness, load and friction assembly against independent oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -15,8 +17,8 @@ from crcontact.assembly import (
     friction_value,
 )
 from crcontact.material import MaterialModel
-from crcontact.mesh import BoundaryLabel
-from crcontact.space import CRFunction, cr_gradients, interpolate_cr
+from crcontact.mesh import BoundaryLabel, generate_structured, refine_uniform
+from crcontact.space import CRFunction, build_space, cr_gradients, interpolate_cr
 from conftest import random_cr
 
 UNIT_MAT = MaterialModel(E=1.0, nu=0.0, lam=1.0, mu=1.0)
@@ -311,3 +313,57 @@ class TestFriction:
     def test_rhs_rejects_wrong_length(self, space2):
         with pytest.raises(AssemblyError):
             friction_rhs(space2, 0.0012, np.zeros(len(space2.contact_edges) + 1))
+
+
+def _direct_load(space, loads, t):
+    """The load vector as a masked ``np.bincount`` over the local DOF map."""
+    mesh = space.mesh
+    body = np.broadcast_to(loads.f_at(t) * mesh.areas[:, None, None] / 3.0,
+                           space.local_dofs.shape)
+    neumann = np.nonzero(mesh.edge_labels == BoundaryLabel.NEUMANN)[0]
+    if loads.g_sides is not None:
+        neumann = neumann[np.isin(mesh.boundary_side(neumann), loads.g_sides)]
+    pts = space.edge_gauss_points(neumann)
+    tris = mesh.edge_tris[neumann, 0]
+    traces = space.basis_values(tris, pts)
+    w = 0.5 * mesh.edge_lengths[neumann]
+    traction = w[:, None, None] * (traces.swapaxes(1, 2) @ loads.g_at(pts, t))
+    dofs = np.concatenate([space.local_dofs, space.local_dofs[tris]]).ravel()
+    vals = np.concatenate([body, traction]).ravel()
+    keep = dofs >= 0
+    return np.bincount(dofs[keep], weights=vals[keep], minlength=space.n_dofs_free)
+
+
+def _direct_interpolation(v, space):
+    """Edge means written into a vector with one trailing slot for the -1 DOFs."""
+    dofs = space.edge_dofs
+    edges = np.nonzero(np.any(dofs >= 0, axis=1))[0]
+    pts = space.edge_gauss_points(edges).reshape(-1, 2)
+    vals = np.array([np.asarray(v(x, y), dtype=float) for x, y in pts]).reshape(-1, 2, 2)
+    coeffs = np.zeros(space.n_dofs_free + 1)
+    coeffs[dofs[edges]] = 0.5 * (vals[:, 0] + vals[:, 1])
+    return coeffs[:-1]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_scattered_vectors_equal_direct_formulas(config, level):
+    # sparse_from_local sums each DOF's contributions (at most six) in input
+    # order, so the free-DOF vectors equal the direct formulas bit for bit
+    mesh = generate_structured(config.domain, config.n)
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    space = build_space(mesh)
+    variants = (config.loads, replace(config.loads, f=(0.1, -0.05), f_time="linear"),
+                replace(config.loads, g_sides=None))
+    for loads in variants:
+        for t in (0.3, 1.0):
+            assert np.array_equal(assemble_load(space, loads, t), _direct_load(space, loads, t))
+
+    def v(x, y):
+        return (np.sin(x) * y, np.exp(-x * y))
+
+    assert np.array_equal(interpolate_cr(v, space).coeffs, _direct_interpolation(v, space))
+    lam = np.random.default_rng(level).uniform(-1.0, 1.0, len(space.contact_edges))
+    want = np.zeros(space.n_dofs_free)
+    want[space.contact_tangent_dof] = 0.0012 * space.contact_edge_lengths * lam
+    assert np.array_equal(friction_rhs(space, 0.0012, lam), want)

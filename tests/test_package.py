@@ -51,3 +51,44 @@ def test_every_public_name_is_used_beyond_its_unit_test():
     unused = {name for name in public - used
               if not name.startswith("_") and not re.search(rf"\b{name}\b", bench)}
     assert unused == set(TEST_ORACLES), sorted(unused)
+
+    # a public method or property counts as used only where the package or the
+    # harness reads it as an attribute; a bare word, say in a comment, does not
+    bench_trees = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    attributes = {node.attr for tree in trees + bench_trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    methods = {(cls.name, fn.name) for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+    assert len(methods) > 10
+    unused_methods = sorted(f"{c}.{m}" for c, m in methods if m not in attributes)
+    assert not unused_methods, unused_methods
+
+
+def _names_a_dof_map(node) -> bool:
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return "dof" in name
+
+
+def _is_sentinel_bound(node) -> bool:
+    try:
+        return ast.literal_eval(node) in (0, -1)
+    except ValueError:
+        return False
+
+
+def test_only_space_reads_the_eliminated_dof_sentinel():
+    # an eliminated DOF is -1 in space.py's maps; every other module hands the
+    # maps to sparse_from_local or CRFunction.edge_values instead of testing them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "space.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_names_a_dof_map, operands)) and any(map(_is_sentinel_bound, operands)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -209,7 +209,7 @@ class TestUzawaStep:
                                                   material, config):
         k, g_a = 0.025, config.loads.g_a
         load = assemble_load(space2, config.loads, k)
-        auto = stable_rho_tilde(system2, g_a, k) * g_a / k
+        auto = stable_rho_tilde(system2, g_a, k, SPDFactor(system2.K)) * g_a / k
         results = []
         cfg = UzawaConfig(eps=1e-13, max_iter=100000)
         for step in (0.5 * auto, auto):
@@ -276,13 +276,14 @@ class TestUzawaIterate:
 
 class TestStableRhoTilde:
     def test_positive_and_scales_with_k(self, system2, config):
-        r1 = stable_rho_tilde(system2, config.loads.g_a, 0.025)
-        r2 = stable_rho_tilde(system2, config.loads.g_a, 0.0125)
+        factor = SPDFactor(system2.K)
+        r1 = stable_rho_tilde(system2, config.loads.g_a, 0.025, factor)
+        r2 = stable_rho_tilde(system2, config.loads.g_a, 0.0125, factor)
         assert r1 > 0
         assert r2 == pytest.approx(0.5 * r1, rel=1e-12)
 
     def test_trivial_without_contact(self, system2):
-        assert stable_rho_tilde(system2, 0.0, 0.025) == 1.0
+        assert stable_rho_tilde(system2, 0.0, 0.025, SPDFactor(system2.K)) == 1.0
 
     def test_is_the_step_march_uses(self, monkeypatch, config):
         # the setup workload times stable_rho_tilde in place of march's own step
@@ -298,7 +299,7 @@ class TestStableRhoTilde:
         for N in (config.N * 4, config.N * 8):  # k and k/2
             march(system, config.loads, TimeGrid(T=config.T, N=N), config.uzawa)
         assert len(set(steps)) == 1 and len(steps) == config.N * 12
-        rho_tilde = stable_rho_tilde(system, g_a, k)
+        rho_tilde = stable_rho_tilde(system, g_a, k, SPDFactor(system.K))
         assert steps[0] == pytest.approx(rho_tilde * g_a / k, rel=1e-12)
 
 
@@ -326,7 +327,7 @@ class TestSymmetricFactor:
         k = config.T / (config.N * 2**3)
         eigs = np.linalg.eigvals(ref[idx]).real  # M = S K^-1 S^T W is similar to SPD
         rho_ref = 2.0 * k / (g_a * (eigs.min() + eigs.max()))
-        assert stable_rho_tilde(system, g_a, k) == pytest.approx(rho_ref, rel=1e-10)
+        assert stable_rho_tilde(system, g_a, k, factor) == pytest.approx(rho_ref, rel=1e-10)
 
     def test_less_fill_than_default_ordering(self, config):
         K = level_system(config, 4).K

@@ -26,7 +26,7 @@ from crcontact.space import (
     prolongate,
     prolongation_matrix,
 )
-from conftest import random_cr
+from conftest import field_at, random_cr
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # midpoint of the edge opposite each vertex
@@ -90,6 +90,27 @@ class TestDofLayout:
                 seen[mesh.tri_edges[t, local]].append(t)
         want = np.array([s + [-1] * (2 - len(s)) for s in seen])
         assert np.array_equal(mesh.edge_tris, want)
+
+    @pytest.mark.parametrize("contact_side", ["bottom", "left"])
+    def test_edge_dofs_layout(self, contact_side):
+        sides = dict(left=BoundaryLabel.NEUMANN, right=BoundaryLabel.DIRICHLET,
+                     bottom=BoundaryLabel.NEUMANN, top=BoundaryLabel.NEUMANN)
+        sides[contact_side] = BoundaryLabel.CONTACT
+        mesh = refine_uniform(generate_structured(Domain.rectangle(0, 4, 0, 4, **sides), 2))
+        space = build_space(mesh)
+        dofs, labels = space.edge_dofs, mesh.edge_labels
+        dirichlet, contact = labels == BoundaryLabel.DIRICHLET, labels == BoundaryLabel.CONTACT
+        assert dofs.shape == (mesh.n_edges, 2) and np.any(dirichlet) and np.any(contact)
+        assert np.all(dofs[dirichlet] == -1)
+        # a horizontal contact edge keeps only x, a vertical one only y
+        tangent = 0 if contact_side == "bottom" else 1
+        assert np.all(dofs[contact, tangent] >= 0) and np.all(dofs[contact, 1 - tangent] == -1)
+        other = ~(dirichlet | contact)
+        assert np.all(dofs[other, 0] >= 0) and np.all(dofs[other, 1] == dofs[other, 0] + 1)
+        assert np.array_equal(np.stack([space.dof_x, space.dof_y], axis=1), dofs)
+        assert np.array_equal(space.local_dofs, dofs[mesh.tri_edges])
+        for arr in (space.edge_dofs, space.dof_x, space.dof_y, space.local_dofs):
+            assert not arr.flags.writeable
 
     def test_contact_edges_keep_only_tangential(self, mesh2, space2):
         # the bottom side runs along x: x is tangential, y the constrained normal
@@ -213,7 +234,7 @@ class TestInterpolation:
         rng = np.random.default_rng(0)
         bary = rng.dirichlet(np.ones(3), size=(mesh4.n_triangles, 4))
         pts = bary @ mesh4.vertices[mesh4.triangles]
-        got = fn.evaluate(pts)
+        got = field_at(fn, pts)
         want = np.stack(v(pts[..., 0], pts[..., 1]), axis=-1)
         # skip triangles touching constrained edges: the field does not
         # satisfy the boundary conditions, so constrained DOFs are dropped
@@ -254,7 +275,7 @@ class TestInterpolation:
         scale = np.max(np.abs(fn.coeffs))
         # each triangle's trace at the Gauss points of its three edges
         pts = space4.edge_gauss_points(mesh4.tri_edges).reshape(-1, 6, 2)
-        means = fn.evaluate(pts).reshape(-1, 3, 2, 2).mean(axis=2)  # (nt, local edge, comp)
+        means = field_at(fn, pts).reshape(-1, 3, 2, 2).mean(axis=2)  # (nt, local edge, comp)
         for e in range(mesh4.n_edges):
             t0, t1 = mesh4.edge_tris[e]
             if t1 < 0:
@@ -361,7 +382,7 @@ class TestCRFunction:
         padded = np.append(fn.coeffs, 0.0)
         bary = np.random.default_rng(9).dirichlet(np.ones(3), size=(mesh4.n_triangles, 2))
         pts = bary @ mesh4.vertices[mesh4.triangles]
-        values, gradients = fn.evaluate(pts), fn.gradients()
+        values, gradients = field_at(fn, pts), fn.gradients()
         tol = 1e-13 * np.max(np.abs(fn.coeffs))
         for t in range(mesh4.n_triangles):
             coords = mesh4.vertices[mesh4.triangles[t]]
@@ -374,7 +395,7 @@ class TestCRFunction:
         rng = np.random.default_rng(4)
         fn = random_cr(space2, rng)
         # the field at the midpoints of each triangle's edges
-        vals = fn.evaluate(mesh2.midpoints[mesh2.tri_edges])
+        vals = field_at(fn, mesh2.midpoints[mesh2.tri_edges])
         tol = 1e-14 * np.max(np.abs(fn.coeffs))
         labels = mesh2.edge_labels[mesh2.tri_edges]
         assert np.all(np.abs(vals[labels == BoundaryLabel.DIRICHLET]) <= tol)
