@@ -27,10 +27,6 @@ from crcontact.material import MaterialModel
 from crcontact.space import CRFunction, CRSpace, sparse_from_local
 
 
-class AssemblyError(ValueError):
-    """Raised for inadmissible assembly parameters."""
-
-
 @dataclass
 class DiscreteSystem:
     """Stiffness over the free DOFs of a space.
@@ -69,17 +65,17 @@ class LoadSpec:
 
     def __post_init__(self):
         if not 0 <= self.g_a < np.inf:
-            raise AssemblyError(f"friction bound must be nonnegative and finite, got {self.g_a}")
+            raise ValueError(f"friction bound must be nonnegative and finite, got {self.g_a}")
         if len(self.f) != 2 or [len(row) for row in self.g_coeffs] != [3, 3]:
-            raise AssemblyError("f needs 2 entries, gx and gy need 3 (c0 cx cy)")
+            raise ValueError("f needs 2 entries, gx and gy need 3 (c0 cx cy)")
         for name in (self.f_time, self.g_time):
             if name not in _TIME_FACTORS:
-                raise AssemblyError(f"time factor must be 'const' or 'linear', got {name!r}")
+                raise ValueError(f"time factor must be 'const' or 'linear', got {name!r}")
         if self.g_sides == ():
-            raise AssemblyError("no traction side named; leave g_sides unset for all sides")
+            raise ValueError("no traction side named; leave g_sides unset for all sides")
         unknown = set(self.g_sides or ()) - set(SIDES)
         if unknown:
-            raise AssemblyError(f"unknown traction side(s) {sorted(unknown)}, expected {SIDES}")
+            raise ValueError(f"unknown traction side(s) {sorted(unknown)}, expected {SIDES}")
 
     def f_at(self, t: float) -> np.ndarray:
         return np.asarray(self.f, dtype=float) * _TIME_FACTORS[self.f_time](t)
@@ -111,7 +107,7 @@ def element_stiffness(grads: np.ndarray, area: np.ndarray, mat: MaterialModel) -
 def assemble_stiffness(space: CRSpace, mat: MaterialModel, rho: float) -> DiscreteSystem:
     """Stabilized stiffness matrix over the free DOFs."""
     if rho <= 0:
-        raise AssemblyError(f"stabilization parameter must be positive, got {rho}")
+        raise ValueError(f"stabilization parameter must be positive, got {rho}")
     nt = space.mesh.n_triangles
 
     # element term: constant strain per triangle, one (6, 6) block each
@@ -171,10 +167,10 @@ def friction_rhs(space: CRSpace, g_a: float, lam: np.ndarray) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(space.contact_edges),):
-        raise AssemblyError(
+        raise ValueError(
             f"expected one multiplier per contact edge ({len(space.contact_edges)}), got {lam.shape}")
     if np.any(np.abs(lam) > 1.0 + 1e-12):
-        raise AssemblyError("friction multiplier out of [-1, 1]")
+        raise ValueError("friction multiplier out of [-1, 1]")
     vals = g_a * space.contact_edge_lengths * lam
     return sparse_from_local(space.contact_tangent_dof, 0, vals,
                              (space.n_dofs_free, 1)).toarray().ravel()

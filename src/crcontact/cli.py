@@ -123,7 +123,7 @@ def _build(section, make, *args, **kwargs):
     """Call a value type; the ValueError of a rule it breaks names the section."""
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:  # MeshError, MaterialError, AssemblyError, ...
+    except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -182,7 +182,7 @@ def load_config(path: str) -> ProblemConfig:
             try:
                 side, lo, hi, label = line.split()
                 segs.append(BoundarySegment(side, real(lo), real(hi), _LABELS[label.lower()]))
-            except (ValueError, KeyError) as exc:  # MeshError is a ValueError
+            except (ValueError, KeyError) as exc:
                 raise ConfigError(f"domain.segments: bad line {line.strip()!r}: {exc!r}") from exc
         domain = _build("domain", Domain, *bounds, tuple(segs))
     else:
@@ -282,7 +282,7 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
     for level, mesh in enumerate(meshes):
         try:
             space, _, traj = solve_level(config, mesh, level, log=log)
-        except (SolverError, UzawaError) as exc:
+        except SolverError as exc:
             exc.args = (f"level {level}: {exc}",) + exc.args[1:]
             raise
         grid = traj.grid
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, UzawaError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if isinstance(exc, UzawaError):
             tail = ", ".join(f"{incr:.3e}" for incr in (exc.history or [])[-5:])

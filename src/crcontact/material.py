@@ -7,10 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class MaterialError(ValueError):
-    """Raised for physically inadmissible material parameters."""
-
-
 @dataclass(frozen=True)
 class MaterialModel:
     """Isotropic material with both engineering and Lame parameters.
@@ -28,11 +24,11 @@ class MaterialModel:
     @classmethod
     def from_engineering(cls, E: float, nu: float, plane: str = "strain") -> "MaterialModel":
         if plane not in ("strain", "stress"):
-            raise MaterialError(f"plane must be 'strain' or 'stress', got {plane!r}")
+            raise ValueError(f"plane must be 'strain' or 'stress', got {plane!r}")
         if not 0 < E < np.inf:
-            raise MaterialError(f"Young's modulus must be positive and finite, got {E}")
+            raise ValueError(f"Young's modulus must be positive and finite, got {E}")
         if not 0 <= nu < 0.5:
-            raise MaterialError(f"Poisson ratio must lie in [0, 0.5), got {nu}")
+            raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {nu}")
         mu = E / (2.0 * (1.0 + nu))  # the 3D Lame parameters
         lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
         if plane == "stress":

@@ -13,10 +13,6 @@ from enum import IntEnum
 import numpy as np
 
 
-class MeshError(ValueError):
-    """Raised for invalid mesh construction or classification input."""
-
-
 class BoundaryLabel(IntEnum):
     INTERIOR = 0
     DIRICHLET = 1
@@ -42,11 +38,11 @@ class BoundarySegment:
 
     def __post_init__(self):
         if self.side not in SIDES:
-            raise MeshError(f"unknown side {self.side!r}, expected one of {SIDES}")
+            raise ValueError(f"unknown side {self.side!r}, expected one of {SIDES}")
         if not self.lo < self.hi:
-            raise MeshError(f"segment on {self.side}: need lo < hi, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"segment on {self.side}: need lo < hi, got [{self.lo}, {self.hi}]")
         if self.label == BoundaryLabel.INTERIOR:
-            raise MeshError("boundary segments cannot be labeled INTERIOR")
+            raise ValueError("boundary segments cannot be labeled INTERIOR")
 
 
 @dataclass(frozen=True)
@@ -62,9 +58,9 @@ class Domain:
     def __post_init__(self):
         if not (-np.inf < self.x_min < self.x_max < np.inf
                 and -np.inf < self.y_min < self.y_max < np.inf):
-            raise MeshError("domain must have finite, positive extent in both directions")
+            raise ValueError("domain must have finite, positive extent in both directions")
         if not any(s.label == BoundaryLabel.DIRICHLET for s in self.boundary_spec):
-            raise MeshError("the Dirichlet boundary part must have positive length")
+            raise ValueError("the Dirichlet boundary part must have positive length")
 
     @staticmethod
     def rectangle(x_min, x_max, y_min, y_max, *, left, right, bottom, top) -> "Domain":
@@ -106,16 +102,16 @@ class Mesh:
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
-            raise MeshError("vertices must be an (nv, 2) array")
+            raise ValueError("vertices must be an (nv, 2) array")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
-            raise MeshError("triangles must be an (nt, 3) array")
+            raise ValueError("triangles must be an (nt, 3) array")
 
         # reordering a clockwise triangle would renumber its local edges
         a = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
         b = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
         areas = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
         if np.any(areas <= 0):
-            raise MeshError("triangle is degenerate or clockwise")
+            raise ValueError("triangle is degenerate or clockwise")
 
         self.vertices = vertices
         self.triangles = triangles
@@ -124,7 +120,7 @@ class Mesh:
         self.parent_mesh = parent_mesh
         nt = self.n_triangles
         if parent_mesh is not None and nt != 4 * parent_mesh.n_triangles:
-            raise MeshError(f"refined mesh has {nt} triangles, not 4 x {parent_mesh.n_triangles}")
+            raise ValueError(f"refined mesh has {nt} triangles, not 4 x {parent_mesh.n_triangles}")
         self.parent_map = None if parent_mesh is None else np.arange(nt) // 4
 
         self._build_edges()
@@ -152,7 +148,7 @@ class Mesh:
         # adjacent triangles of each edge in (local edge, triangle) order
         counts = np.bincount(inv, minlength=ne)
         if np.any(counts > 2):
-            raise MeshError(f"edge {int(np.argmax(counts > 2))} shared by more than two triangles")
+            raise ValueError(f"edge {int(np.argmax(counts > 2))} shared by more than two triangles")
         tris = np.argsort(inv, kind="stable") % nt
         start = np.cumsum(counts) - counts
         edge_tris = np.full((ne, 2), -1, dtype=np.int64)
@@ -181,7 +177,7 @@ class Mesh:
                          & np.any(parent.edges[e] == a[:, None], axis=1))
             if not np.all(inherited):
                 j = np.argmin(inherited)
-                raise MeshError(f"boundary edge {(int(a[j]), int(m[j]))} has no inherited label")
+                raise ValueError(f"boundary edge {(int(a[j]), int(m[j]))} has no inherited label")
             labels[boundary] = parent.edge_labels[e]
         else:
             dom = self.domain
@@ -197,7 +193,7 @@ class Mesh:
                 found |= hit
             if not np.all(found):
                 j = np.argmin(found)
-                raise MeshError(f"boundary edge at {(mx[j], my[j])} on side {side[j]!r} is unlabeled")
+                raise ValueError(f"boundary edge at {(mx[j], my[j])} on side {side[j]!r} is unlabeled")
         self.edge_labels = labels
 
     # -- queries ---------------------------------------------------------
@@ -218,14 +214,14 @@ class Mesh:
         """Which rectangle side boundary edge(s) e lie on: a name, or an array of names."""
         e = np.asarray(e)
         if np.any(self.edge_tris[e, 1] >= 0):
-            raise MeshError(f"edge {e} is interior")
+            raise ValueError(f"edge {e} is interior")
         dom = self.domain
         tol = 1e-12 * dom.diameter
         mx, my = self.midpoints[e].T
         on_side = [np.abs(mx - dom.x_min) <= tol, np.abs(mx - dom.x_max) <= tol,
                    np.abs(my - dom.y_min) <= tol, np.abs(my - dom.y_max) <= tol]
         if not np.all(np.any(on_side, axis=0)):
-            raise MeshError(f"boundary edge {e} is not on the rectangle boundary")
+            raise ValueError(f"boundary edge {e} is not on the rectangle boundary")
         side = np.select(on_side, SIDES, default="")
         return str(side) if side.ndim == 0 else side
 
@@ -237,7 +233,7 @@ def generate_structured(domain: Domain, n: int) -> Mesh:
     coordinates are exact multiples of the grid spacing.
     """
     if n < 1:
-        raise MeshError("need at least one subdivision per side")
+        raise ValueError("need at least one subdivision per side")
     dx = (domain.x_max - domain.x_min) / n
     dy = (domain.y_max - domain.y_min) / n
     xs = domain.x_min + dx * np.arange(n + 1)

@@ -47,27 +47,28 @@ from crcontact.space import CRFunction
 
 
 class SolverError(RuntimeError):
-    """Raised on linear-solve breakdown (non-SPD matrix or bad residual).
+    """Raised when a solve fails; rejected input raises ValueError instead.
 
-    When raised by a time step of ``march``, ``step`` names that step.
+    A linear solve breaks down (non-SPD matrix or bad residual) or, as
+    ``UzawaError``, the inner iteration does not converge. When raised by a
+    time step of ``march``, ``step`` names that step.
     """
 
     step = None
 
 
-class UzawaError(RuntimeError):
+class UzawaError(SolverError):
     """Raised when the inner Uzawa iteration exceeds its iteration cap.
 
-    Carries the last iterates (``last_u``, ``last_lam``, as arrays), the
-    increment ``history`` and, when raised inside ``march``, the ``step``.
+    Carries the last iterates (``last_u``, ``last_lam``, as arrays) and the
+    increment ``history``.
     """
 
-    def __init__(self, message, last_u=None, last_lam=None, history=None, step=None):
+    def __init__(self, message, last_u=None, last_lam=None, history=None):
         super().__init__(message)
         self.last_u = last_u
         self.last_lam = last_lam
         self.history = history
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -185,8 +186,10 @@ class SPDFactor:
     def _certified_solve(self, rhs: np.ndarray):
         """``solve``, returning x and, per column, its certified residual and |x|.
 
-        ``solve`` keeps it in ``_solved``: the benchmark's tracer wraps ``solve``
-        and reads its one return value (ROADMAP item 5 removes the tracer).
+        ``solve`` keeps it in ``_solved`` and returns x alone: the benchmark's
+        setup workload passes that return value to ``CRFunction``, and its
+        tracer counts the ``solve`` calls under ``march``
+        (``tests/test_trace_contract.py``), so these solves go through it.
         """
         x = self.solve(rhs)
         return x, self._solved
@@ -263,9 +266,10 @@ def _optimal_step(M: np.ndarray, weights: np.ndarray) -> float:
 
     ``M`` holds the contact rows of Z, i.e. the Schur complement, with eigenvalues mu.
     """
-    # symmetrize in the W^(1/2)-weighted sense before taking eigenvalues
+    # M = A W with A = S K^-1 S^T, so W^(1/2) M W^(-1/2) = W^(1/2) A W^(1/2) is
+    # symmetric and has M's eigenvalues; the average removes its round-off
     s = np.sqrt(weights)
-    Msym = (M * s[None, :]) / s[:, None]
+    Msym = s[:, None] * M / s[None, :]
     eigs = np.linalg.eigvalsh(0.5 * (Msym + Msym.T))
     if eigs[0] <= 0:
         raise SolverError("contact Schur complement is not positive definite")
@@ -414,7 +418,7 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     F_0 = assemble_load(space, loads, 0.0)
     F_1 = assemble_load(space, loads, 1.0) - F_0
     U, ((rho_0, rho_1), (norm_0, norm_1)) = factor._certified_solve(np.column_stack((F_0, F_1)))
-    U_0, U_1 = U.T
+    U_0, U_1 = U.T.copy()  # contiguous rows: each step reads U_0 + t_n U_1
     gamma_3 = _gamma(3)  # rounding of forming F(t_n) - c(lambda_n)
     bound = (rho_0 + gamma_K * norm_0 + gamma_3 * (np.linalg.norm(F_0) + np.linalg.norm(w)),
              rho_1 + gamma_K * norm_1 + gamma_3 * np.linalg.norm(F_1), b_Z)
@@ -429,7 +433,7 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
             u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, M, u, lam, step, cfg)
             if not _step_bound(bound, t_n, lam) < tol * np.sqrt(u.coeffs @ u.coeffs) < np.inf:
                 factor.check(u.coeffs, F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, lam))
-        except (SolverError, UzawaError) as exc:
+        except SolverError as exc:
             exc.step = n
             raise
         if n >= first:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from crcontact.mesh import BoundaryLabel, Mesh, MeshError, edge_sets
+from crcontact.mesh import BoundaryLabel, Mesh, edge_sets
 
 #: 2-point Gauss abscissae on [-1, 1] (exact for cubics on an edge)
 GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
@@ -32,7 +32,7 @@ def cr_gradients(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Shape function j equals 1 on the edge opposite vertex j, i.e.
     psi_j = 1 - 2 * lambda_j with lambda_j the barycentric coordinate.
     ``coords`` is (..., 3, 2), one triangle or a stack of them. Returns
-    (grads (..., 3, 2), areas (...)); raises MeshError if any triangle is
+    (grads (..., 3, 2), areas (...)); raises ValueError if any triangle is
     degenerate or clockwise.
     """
     p = np.asarray(coords, dtype=float)
@@ -40,7 +40,7 @@ def cr_gradients(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d2 = p[..., 2, :] - p[..., 0, :]
     area = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
     if np.any(area <= 0):
-        raise MeshError("triangle is degenerate or clockwise")
+        raise ValueError("triangle is degenerate or clockwise")
     # edge opposite vertex j runs from vertex j+1 to vertex j+2
     opp = np.roll(p, -2, axis=-2) - np.roll(p, -1, axis=-2)
     # grad psi_j = -2 grad lambda_j, and grad lambda_j = (-opp_y, opp_x) / (2 area)
@@ -92,10 +92,6 @@ class CRSpace:
 
     def __init__(self, mesh: Mesh):
         labels = mesh.edge_labels
-        boundary = mesh.edge_tris[:, 1] < 0
-        if np.any(boundary & (labels == BoundaryLabel.INTERIOR)):
-            raise MeshError("mesh has unclassified boundary edges")
-
         # per-edge component count: none on Dirichlet edges, the tangential
         # one on contact edges, both otherwise; numbered in edge order
         contact = np.nonzero(labels == BoundaryLabel.CONTACT)[0]
@@ -103,7 +99,7 @@ class CRSpace:
         tol = 1e-12 * mesh.domain.diameter
         horizontal = np.abs(dv[:, 1]) <= tol  # tangent x, normal y constrained
         if not np.all(horizontal | (np.abs(dv[:, 0]) <= tol)):
-            raise MeshError("contact edges must be axis-aligned")
+            raise ValueError("contact edges must be axis-aligned")
         count = np.full(mesh.n_edges, 2, dtype=np.int64)
         count[labels == BoundaryLabel.DIRICHLET] = 0
         count[contact] = 1

@@ -8,7 +8,6 @@ import scipy.sparse.linalg as spla
 
 from crcontact.analysis import EnergyNormEvaluator
 from crcontact.assembly import (
-    AssemblyError,
     LoadSpec,
     assemble_load,
     assemble_stiffness,
@@ -86,7 +85,7 @@ class TestElementStiffness:
 
 class TestStiffness:
     def test_rejects_nonpositive_rho(self, space2, material):
-        with pytest.raises(AssemblyError):
+        with pytest.raises(ValueError, match="stabilization parameter must be positive, got 0.0"):
             assemble_stiffness(space2, material, 0.0)
 
     def test_symmetry(self, system2):
@@ -157,12 +156,13 @@ class TestStiffness:
 
 class TestLoadSpec:
     def test_rejects_negative_friction_bound(self):
-        with pytest.raises(AssemblyError):
+        with pytest.raises(ValueError,
+                           match="friction bound must be nonnegative and finite, got -1.0"):
             LoadSpec(g_a=-1.0)
 
     @pytest.mark.parametrize("g_a", [np.nan, np.inf])
     def test_rejects_non_finite_friction_bound(self, g_a):
-        with pytest.raises(AssemblyError, match="friction bound"):
+        with pytest.raises(ValueError, match="friction bound must be nonnegative and finite"):
             LoadSpec(g_a=g_a)
 
     @pytest.mark.parametrize("change", [
@@ -173,21 +173,22 @@ class TestLoadSpec:
     ], ids=["f-short", "f-long", "gx-short", "gy-long", "one-row"])
     def test_rejects_wrong_row_length(self, change):
         # a wrong length would otherwise broadcast, or fail only in assembly
-        with pytest.raises(AssemblyError, match="f needs 2 entries, gx and gy need 3"):
+        with pytest.raises(ValueError, match=r"f needs 2 entries, gx and gy need 3 \(c0 cx cy\)"):
             LoadSpec(**change)
 
     def test_rejects_unknown_time_factor(self):
-        with pytest.raises(AssemblyError):
+        with pytest.raises(ValueError,
+                           match="time factor must be 'const' or 'linear', got 'quadratic'"):
             LoadSpec(g_time="quadratic")
 
     def test_rejects_unknown_traction_side(self):
         # a misspelled side would otherwise select no edge and drop the traction
-        with pytest.raises(AssemblyError, match="leftt"):
+        with pytest.raises(ValueError, match=r"unknown traction side\(s\) \['leftt'\], expected"):
             LoadSpec(g_sides=("leftt",))
 
     def test_rejects_empty_traction_sides(self):
         # no side named would select no edge and drop the traction
-        with pytest.raises(AssemblyError, match="no traction side"):
+        with pytest.raises(ValueError, match="no traction side named; leave g_sides unset"):
             LoadSpec(g_sides=())
 
     def test_affine_traction_evaluation(self):
@@ -307,11 +308,11 @@ class TestFriction:
     def test_rhs_rejects_out_of_range(self, space2):
         lam = np.zeros(len(space2.contact_edges))
         lam[0] = 1.5
-        with pytest.raises(AssemblyError):
+        with pytest.raises(ValueError, match=r"friction multiplier out of \[-1, 1\]"):
             friction_rhs(space2, 0.0012, lam)
 
     def test_rhs_rejects_wrong_length(self, space2):
-        with pytest.raises(AssemblyError):
+        with pytest.raises(ValueError, match="expected one multiplier per contact edge"):
             friction_rhs(space2, 0.0012, np.zeros(len(space2.contact_edges) + 1))
 
 

@@ -8,7 +8,6 @@ from crcontact.mesh import (
     BoundarySegment,
     Domain,
     Mesh,
-    MeshError,
     edge_sets,
     generate_structured,
     refine_uniform,
@@ -34,7 +33,8 @@ def _all_neumann_ish_domain():
 
 class TestDomain:
     def test_rejects_empty_extent(self):
-        with pytest.raises(MeshError):
+        # the zero-width bottom and top segments are refused before the domain
+        with pytest.raises(ValueError, match=r"segment on bottom: need lo < hi, got \[0, 0\]"):
             Domain.rectangle(0, 0, 0, 1,
                              left=BoundaryLabel.DIRICHLET, right=BoundaryLabel.NEUMANN,
                              bottom=BoundaryLabel.NEUMANN, top=BoundaryLabel.NEUMANN)
@@ -42,23 +42,25 @@ class TestDomain:
     @pytest.mark.parametrize("bounds", [(0, np.inf, 0, 1), (-np.inf, 1, 0, 1), (0, 1, 0, np.inf)],
                              ids=["x_max-inf", "x_min-inf", "y_max-inf"])
     def test_rejects_non_finite_extent(self, bounds):
-        with pytest.raises(MeshError, match="finite"):
+        with pytest.raises(ValueError,
+                           match="domain must have finite, positive extent in both directions"):
             Domain.rectangle(*bounds,
                              left=BoundaryLabel.DIRICHLET, right=BoundaryLabel.NEUMANN,
                              bottom=BoundaryLabel.NEUMANN, top=BoundaryLabel.NEUMANN)
 
     def test_requires_dirichlet_part(self):
-        with pytest.raises(MeshError):
+        with pytest.raises(ValueError,
+                           match="the Dirichlet boundary part must have positive length"):
             Domain.rectangle(0, 1, 0, 1,
                              left=BoundaryLabel.NEUMANN, right=BoundaryLabel.NEUMANN,
                              bottom=BoundaryLabel.NEUMANN, top=BoundaryLabel.NEUMANN)
 
     def test_segment_validation(self):
-        with pytest.raises(MeshError):
+        with pytest.raises(ValueError, match="unknown side 'diagonal', expected one of"):
             BoundarySegment("diagonal", 0, 1, BoundaryLabel.DIRICHLET)
-        with pytest.raises(MeshError):
+        with pytest.raises(ValueError, match=r"segment on left: need lo < hi, got \[1, 1\]"):
             BoundarySegment("left", 1, 1, BoundaryLabel.DIRICHLET)
-        with pytest.raises(MeshError):
+        with pytest.raises(ValueError, match="boundary segments cannot be labeled INTERIOR"):
             BoundarySegment("left", 0, 1, BoundaryLabel.INTERIOR)
 
 
@@ -104,18 +106,19 @@ class TestGenerateStructured:
         # reordering it would silently renumber the triangle's local edges
         tris = mesh2.triangles.copy()
         tris[3] = tris[3, [0, 2, 1]]
-        with pytest.raises(MeshError, match="degenerate or clockwise"):
+        with pytest.raises(ValueError, match="triangle is degenerate or clockwise"):
             Mesh(mesh2.vertices, tris, mesh2.domain)
 
     def test_rejects_zero_subdivisions(self, domain):
-        with pytest.raises(MeshError):
+        with pytest.raises(ValueError, match="need at least one subdivision per side"):
             generate_structured(domain, 0)
 
     def test_rejects_unlabeled_boundary(self):
         # Dirichlet only on part of the right side, rest of the boundary bare
         segs = (BoundarySegment("right", 0.0, 4.0, BoundaryLabel.DIRICHLET),)
         dom = Domain(0.0, 4.0, 0.0, 4.0, segs)
-        with pytest.raises(MeshError):
+        with pytest.raises(ValueError,
+                           match=r"boundary edge at \(.*\) on side .*'bottom'.* is unlabeled"):
             generate_structured(dom, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -210,12 +213,12 @@ class TestRefineUniform:
     def test_label_mismatch_raises(self, mesh2, mesh4):
         # mesh4 has four times mesh2's triangles, but its grid numbering
         # does not make its boundary edges children of mesh2's edges
-        with pytest.raises(MeshError, match="no inherited label"):
+        with pytest.raises(ValueError, match=r"boundary edge \(\d+, \d+\) has no inherited label"):
             Mesh(mesh4.vertices, mesh4.triangles, mesh2.domain, parent_mesh=mesh2)
 
     def test_parent_needs_four_times_the_triangles(self, mesh2, mesh4, refined2):
         # refined2 has 32 triangles; mesh4 as a parent would need 128
-        with pytest.raises(MeshError, match="4 x 32"):
+        with pytest.raises(ValueError, match="refined mesh has 32 triangles, not 4 x 32"):
             Mesh(refined2.vertices, refined2.triangles, mesh2.domain, parent_mesh=mesh4)
 
     def test_two_refinements_match_direct_generation(self, domain, mesh2):

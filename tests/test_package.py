@@ -1,6 +1,7 @@
 """Package structure: the crcontact modules meet only through public names, each with a caller."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -92,3 +93,23 @@ def test_only_space_reads_the_eliminated_dof_sentinel():
                 if any(map(_names_a_dof_map, operands)) and any(map(_is_sentinel_bound, operands)):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_two_kinds_of_failure():
+    # rejected input is a ValueError (a ConfigError when a config file gave it),
+    # a failed solve a SolverError: the CLI's exit codes 1 and 2
+    bases = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [ast.unparse(b) for b in node.bases]
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(map(is_exception, bases.get(name, ())))
+
+    exceptions = {name: base for name, base in bases.items() if is_exception(name)}
+    assert exceptions == {"ConfigError": ["ValueError"], "SolverError": ["RuntimeError"],
+                          "UzawaError": ["SolverError"]}

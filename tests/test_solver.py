@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from crcontact import solver
 from crcontact.analysis import EnergyNormEvaluator, brute_force_vi_oracle, energy_norm
-from crcontact.assembly import assemble_load, assemble_stiffness, friction_rhs
+from crcontact.assembly import LoadSpec, assemble_load, assemble_stiffness, friction_rhs
 from crcontact.cli import build_meshes, solve_level
 from crcontact.mesh import BoundaryLabel, Domain, generate_structured
 from crcontact.solver import (
@@ -301,6 +301,32 @@ class TestStableRhoTilde:
         assert len(set(steps)) == 1 and len(steps) == config.N * 12
         rho_tilde = stable_rho_tilde(system, g_a, k, SPDFactor(system.K))
         assert steps[0] == pytest.approx(rho_tilde * g_a / k, rel=1e-12)
+
+
+def two_sided_contact(config):
+    """Contact on the left and bottom of [0, 4] x [0, 0.25]: two contact edge lengths."""
+    domain = Domain.rectangle(0.0, 4.0, 0.0, 0.25, left=BoundaryLabel.CONTACT,
+                              right=BoundaryLabel.DIRICHLET, bottom=BoundaryLabel.CONTACT,
+                              top=BoundaryLabel.NEUMANN)
+    loads = LoadSpec(g_coeffs=((0.1, 0.0, 0.0), (-0.01, 0.0, 0.0)), g_time="linear",
+                     g_sides=("top",), g_a=0.0012)
+    return dataclasses.replace(config, domain=domain, loads=loads)
+
+
+class TestOptimalStep:
+    def test_unequal_contact_edges(self, config):
+        # W = diag(g_a h_e) is not a multiple of I, so only W^(1/2) M W^(-1/2)
+        # is symmetric; the other similarity's symmetric part has a negative eigenvalue
+        config = two_sided_contact(config)
+        system = level_system(config, 0)
+        idx = system.space.contact_tangent_dof
+        w = config.loads.g_a * system.space.contact_edge_lengths
+        assert np.ptp(w) > 0
+        M = _contact_response(SPDFactor(system.K), idx, w, rows=idx)[0]
+        eigs = np.linalg.eigvals(M).real
+        assert _optimal_step(M, w) == pytest.approx(2.0 / (eigs.min() + eigs.max()), rel=1e-12)
+        traj = march(system, config.loads, TimeGrid(T=config.T, N=config.N), config.uzawa)
+        assert (sum(traj.uzawa_iters), max(traj.uzawa_iters)) == (44, 5)
 
 
 class TestSymmetricFactor:
