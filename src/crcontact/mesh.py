@@ -193,8 +193,12 @@ class Mesh:
                 found |= hit
             if not np.all(found):
                 j = np.argmin(found)
-                raise ValueError(f"boundary edge at {(mx[j], my[j])} on side {side[j]!r} is unlabeled")
+                raise ValueError(f"boundary edge at {self._at(boundary[j])} on side "
+                                 f"{str(side[j])!r} is unlabeled")
         self.edge_labels = labels
+
+    def _at(self, e) -> str:  # midpoints of edge(s) e in plain numbers: "(1.0, 0.0), (2.0, 1.0)"
+        return ", ".join(str((float(x), float(y))) for x, y in self.midpoints[e].reshape(-1, 2))
 
     # -- queries ---------------------------------------------------------
 
@@ -213,15 +217,15 @@ class Mesh:
     def boundary_side(self, e):
         """Which rectangle side boundary edge(s) e lie on: a name, or an array of names."""
         e = np.asarray(e)
-        if np.any(self.edge_tris[e, 1] >= 0):
-            raise ValueError(f"edge {e} is interior")
+        if np.any(interior := self.edge_tris[e, 1] >= 0):
+            raise ValueError(f"edges at {self._at(e[interior])} are interior")
         dom = self.domain
         tol = 1e-12 * dom.diameter
         mx, my = self.midpoints[e].T
         on_side = [np.abs(mx - dom.x_min) <= tol, np.abs(mx - dom.x_max) <= tol,
                    np.abs(my - dom.y_min) <= tol, np.abs(my - dom.y_max) <= tol]
-        if not np.all(np.any(on_side, axis=0)):
-            raise ValueError(f"boundary edge {e} is not on the rectangle boundary")
+        if np.any(off := ~np.any(on_side, axis=0)):
+            raise ValueError(f"boundary edges at {self._at(e[off])} are not on the rectangle boundary")
         side = np.select(on_side, SIDES, default="")
         return str(side) if side.ndim == 0 else side
 

@@ -34,6 +34,7 @@ bound fails (see ``march``).
 from __future__ import annotations
 
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -389,20 +390,14 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     u = 0, a loose bound) the explicit check runs.
 
     Only the displacements of the last ``keep_last`` nodes are stored (all
-    N+1 when None); the multipliers of every node are. The kept
-    displacements are allocated before the factorization, so free heap
-    memory goes to them and not to SuperLU's mostly unwritten workspace;
-    with every node kept, the peak memory does not vary run to run. A step
-    that fails raises with its ``step`` set.
+    N+1 when None), as the step results themselves; the multipliers of
+    every node are. A step that fails raises with its ``step`` set.
     """
     if keep_last is not None and not (isinstance(keep_last, numbers.Integral) and keep_last >= 1):
         raise ValueError("keep_last must be None or an integer of at least 1")
     space = system.space
-    first = 0 if keep_last is None else max(grid.N + 1 - keep_last, 0)  # first kept node
-    coeffs = [np.empty(space.n_dofs_free) for _ in grid.nodes[first:]]
-    if first == 0:
-        coeffs[0][:] = 0.0
     u = CRFunction.zero(space)
+    kept = deque([u], maxlen=None if keep_last is None else int(keep_last))  # an int, not np.int64
     factor = SPDFactor(system.K)
     idx = space.contact_tangent_dof
     m = len(idx)
@@ -436,11 +431,10 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
         except SolverError as exc:
             exc.step = n
             raise
-        if n >= first:
-            coeffs[n - first][:] = u.coeffs
+        kept.append(u)
         multipliers.append(lam)
         iters.append(it)
         if log is not None:
             log(f"step {n}: t={t_n:.6g} uzawa_iters={it}")
-    return TrajectorySolution(grid=grid, displacements=[CRFunction(space, c) for c in coeffs],
-                              multipliers=multipliers, uzawa_iters=iters)
+    return TrajectorySolution(grid=grid, displacements=list(kept), multipliers=multipliers,
+                              uzawa_iters=iters)

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crcontact.assembly import assemble_stiffness
 from crcontact.cli import example_51_config
-from crcontact.material import MaterialModel
 from crcontact.mesh import generate_structured, refine_uniform
 from crcontact.solver import SPDFactor, _contact_response, _optimal_step, uzawa_step_solve
 from crcontact.space import CRFunction, build_space
@@ -68,6 +68,13 @@ def field_at(fn, points):
     return fn.space.basis_values(tris, points) @ fn.edge_values()[fn.space.mesh.tri_edges]
 
 
+def contact_setup(factor, idx, weights):
+    """The contact response Z, its contact block M and the Uzawa step, as ``march`` forms them."""
+    Z, _ = _contact_response(factor, idx, weights)
+    M = np.asfortranarray(Z[idx])
+    return Z, M, _optimal_step(M, weights)
+
+
 def step_from_load(system, load, u_prev, cfg, g_a, factor=None, step=None):
     """``uzawa_step_solve`` on a load vector, set up as ``march`` does it.
 
@@ -79,10 +86,26 @@ def step_from_load(system, load, u_prev, cfg, g_a, factor=None, step=None):
     idx = space.contact_tangent_dof
     Z = M = None
     if g_a and len(idx):
-        w = g_a * space.contact_edge_lengths
-        Z, _ = _contact_response(factor, idx, w)
-        M = np.asfortranarray(Z[idx])
-        if step is None:
-            step = _optimal_step(M, w)
+        Z, M, optimal = contact_setup(factor, idx, g_a * space.contact_edge_lengths)
+        step = optimal if step is None else step
     return uzawa_step_solve(system, factor.solve(load), Z, M, u_prev, np.zeros(len(idx)),
                             step, cfg)
+
+
+def random_tresca_problems():
+    """Ten seed-42 synthetic Tresca steps: (K, F, idx, weights, prev) per trial.
+
+    K is 16 x 16 SPD, four of its DOFs are tangential contact DOFs with
+    friction weights g w, and ``prev`` is their previous-step value.
+    """
+    rng = np.random.default_rng(42)
+    for _ in range(10):
+        n, m = 16, 4
+        A = rng.standard_normal((n, n))
+        K = sp.csr_matrix(A @ A.T + n * np.eye(n))
+        F = rng.standard_normal(n)
+        idx = rng.choice(n, size=m, replace=False)
+        g = rng.uniform(0.0, 0.01)
+        w = rng.uniform(0.5, 2.0, m)
+        prev = 0.01 * rng.standard_normal(m)
+        yield K, F, idx, g * w, prev

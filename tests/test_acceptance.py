@@ -33,7 +33,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from crcontact.analysis import (
@@ -52,12 +51,11 @@ from crcontact.solver import (
     SPDFactor,
     TimeGrid,
     UzawaConfig,
-    _contact_response,
     march,
     uzawa_iterate,
 )
 from crcontact.space import CRFunction, build_space, interpolate_cr
-from conftest import field_at, random_cr, step_from_load
+from conftest import contact_setup, field_at, random_cr, random_tresca_problems, step_from_load
 
 
 def report(num: int, ok: bool, detail: str):
@@ -205,31 +203,13 @@ def test_criterion_5_oracle_equivalence(small_problem):
         u_prev = u
     steps_ok = worst <= 1e-6
 
-    rng = np.random.default_rng(42)
     worst_rand = 0.0
-    for _ in range(10):
-        n, m = 16, 4
-        A = rng.standard_normal((n, n))
-        K = sp.csr_matrix(A @ A.T + n * np.eye(n))
-        F = rng.standard_normal(n)
-        idx = rng.choice(n, size=m, replace=False)
-        g = rng.uniform(0.0, 0.01)
-        w = rng.uniform(0.5, 2.0, m)
-        prev = 0.01 * rng.standard_normal(m)
-        ref = minimize_tresca_quadratic(K, F, idx, g * w, prev, tol=1e-12)
-        if g > 1e-14:
-            Kinv = np.linalg.inv(K.toarray())
-            M = Kinv[np.ix_(idx, idx)] * (g * w)[None, :]
-            s = np.sqrt(g * w)
-            Ms = 0.5 * (M * s[None, :] / s[:, None] + (M * s[None, :] / s[:, None]).T)
-            eigs = np.linalg.eigvalsh(Ms)
-            step = 2.0 / (eigs[0] + eigs[-1])
-        else:
-            step = 1.0
+    for K, F, idx, weights, prev in random_tresca_problems():
+        ref = minimize_tresca_quadratic(K, F, idx, weights, prev, tol=1e-12)
         factor = SPDFactor(K)
-        Z, _ = _contact_response(factor, idx, g * w)
-        u, _, _, _ = uzawa_iterate(factor.solve(F), Z, np.asfortranarray(Z[idx]),
-                                   idx, prev, np.zeros(m), step, 1e-12, 100000)
+        Z, M, step = contact_setup(factor, idx, weights)
+        u, _, _, _ = uzawa_iterate(factor.solve(F), Z, M, idx, prev, np.zeros(len(idx)),
+                                   step, 1e-12, 100000)
         diff = u - ref
         worst_rand = max(worst_rand, float(np.sqrt(diff @ (K @ diff))))
     rand_ok = worst_rand <= 1e-6

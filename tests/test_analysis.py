@@ -21,9 +21,9 @@ from crcontact.mesh import (
     Domain,
     generate_structured,
 )
-from crcontact.solver import SPDFactor, _contact_response, uzawa_iterate
+from crcontact.solver import SPDFactor, uzawa_iterate
 from crcontact.space import CRFunction, build_space, interpolate_cr, prolongate
-from conftest import random_cr
+from conftest import contact_setup, random_cr, random_tresca_problems
 
 
 class TestEnergyNorm:
@@ -121,34 +121,21 @@ class TestOracle:
         with pytest.raises(ValueError):
             brute_force_vi_oracle(fake, np.zeros(5000), CRFunction.zero(space2), 0.001)
 
+    def test_proximal_gradient_reports_non_convergence(self):
+        K, F, idx, weights, prev = next(random_tresca_problems())
+        with pytest.raises(RuntimeError, match="proximal gradient did not reach stationarity "
+                                               "1e-12 within 1 iterations"):
+            minimize_tresca_quadratic(K, F, idx, weights, prev, tol=1e-12, max_iter=1)
+
     def test_agrees_with_uzawa_on_random_systems(self):
         """Uzawa and the proximal-gradient oracle on synthetic systems."""
-        rng = np.random.default_rng(42)
-        for trial in range(10):
-            n, m = 16, 4
-            A = rng.standard_normal((n, n))
-            K = sp.csr_matrix(A @ A.T + n * np.eye(n))
-            F = rng.standard_normal(n)
-            idx = rng.choice(n, size=m, replace=False)
-            g_a = rng.uniform(0.0, 0.01)
-            w = rng.uniform(0.5, 2.0, m)
-            prev = 0.01 * rng.standard_normal(m)
-
-            u_ref = minimize_tresca_quadratic(K, F, idx, g_a * w, prev, tol=1e-12)
-            if g_a > 1e-14:
-                Kinv = np.linalg.inv(K.toarray())
-                M = Kinv[np.ix_(idx, idx)] * (g_a * w)[None, :]
-                s = np.sqrt(g_a * w)
-                eigs = np.linalg.eigvalsh(0.5 * (M * s[None, :] / s[:, None]
-                                                 + (M * s[None, :] / s[:, None]).T))
-                step = 2.0 / (eigs[0] + eigs[-1])
-            else:
-                step = 1.0
+        for trial, (K, F, idx, weights, prev) in enumerate(random_tresca_problems()):
+            u_ref = minimize_tresca_quadratic(K, F, idx, weights, prev, tol=1e-12)
             factor = SPDFactor(K)
-            Z, _ = _contact_response(factor, idx, g_a * w)
-            u, lam, _, _ = uzawa_iterate(factor.solve(F), Z, np.asfortranarray(Z[idx]),
-                                         idx, prev, np.zeros(m), step, 1e-12, 100000)
-            diff = u - u_ref.ravel() if hasattr(u_ref, "ravel") else u - u_ref
+            Z, M, step = contact_setup(factor, idx, weights)
+            u, lam, _, _ = uzawa_iterate(factor.solve(F), Z, M, idx, prev, np.zeros(len(idx)),
+                                         step, 1e-12, 100000)
+            diff = u - u_ref
             err = float(np.sqrt(diff @ (K @ diff)))
             scale = float(np.sqrt(u_ref @ (K @ u_ref)))
             assert err <= 1e-6 * max(scale, 1.0), f"trial {trial}: {err:.2e}"

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,21 @@ class TestMain:
         assert main(["solve", "--config", ini]) == 0
         out = capsys.readouterr().out
         assert "dof: 28" in out
+
+    def test_verbose_logs_each_step(self, capsys):
+        assert main(["solve", "--preset", "example-5.1"]) == 0
+        quiet = capsys.readouterr()
+        assert main(["solve", "--preset", "example-5.1", "--verbose"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out and quiet.err == ""
+        lines = loud.err.splitlines()
+        assert len(lines) == 40
+        iters = []
+        for n, line in enumerate(lines, start=1):
+            match = re.fullmatch(rf"step {n}: t=(\S+) uzawa_iters=(\d+)", line)
+            assert match and float(match[1]) == pytest.approx(n / 40, rel=1e-6), line
+            iters.append(int(match[2]))
+        assert f"uzawa_iterations_total: {sum(iters)}\n" in loud.out
 
     def test_study_writes_csv(self, capsys, tmp_path):
         ini = write_ini(tmp_path, PRESET_INI.replace("levels = 5", "levels = 2"))

@@ -118,8 +118,31 @@ class TestGenerateStructured:
         segs = (BoundarySegment("right", 0.0, 4.0, BoundaryLabel.DIRICHLET),)
         dom = Domain(0.0, 4.0, 0.0, 4.0, segs)
         with pytest.raises(ValueError,
-                           match=r"boundary edge at \(.*\) on side .*'bottom'.* is unlabeled"):
+                           match=r"^boundary edge at \(1\.0, 0\.0\) on side 'bottom' is unlabeled$"):
             generate_structured(dom, 2)
+
+    @pytest.mark.parametrize("vertices,triangles,message", [
+        ([0.0, 1.0, 2.0], [[0, 1, 2]], r"vertices must be an \(nv, 2\) array"),
+        ([[0, 0], [1, 0], [0, 1]], [0, 1, 2], r"triangles must be an \(nt, 3\) array"),
+        # three counterclockwise triangles on the edge (0, 0)-(1, 0)
+        ([[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, -1]], [[0, 1, 2], [0, 1, 3], [1, 0, 4]],
+         "edge 0 shared by more than two triangles"),
+        # the square [0, 2]^2 in the domain [0, 4]^2: its right and top edges
+        # are boundary edges of the mesh but not of the domain
+        ([[0, 0], [2, 0], [2, 2], [0, 2]], [[0, 1, 2], [0, 2, 3]],
+         r"boundary edges at \(2\.0, 1\.0\), \(1\.0, 2\.0\) are not on the rectangle boundary$"),
+    ], ids=["vertex-shape", "triangle-shape", "edge-in-three-triangles", "off-boundary"])
+    def test_rejects_bad_triangulation(self, domain, vertices, triangles, message):
+        with pytest.raises(ValueError, match=message):
+            Mesh(vertices, triangles, domain)
+
+    def test_boundary_side_rejects_interior_edges(self, mesh2):
+        interior = np.nonzero(mesh2.edge_tris[:, 1] >= 0)[0]
+        assert mesh2.boundary_side(0) == "bottom"
+        with pytest.raises(ValueError, match=r"^edges at \(1\.0, 1\.0\) are interior$"):
+            mesh2.boundary_side(interior[0])
+        with pytest.raises(ValueError, match=r"^edges at \(1\.0, 1\.0\), \(2\.0, 1\.0\), "):
+            mesh2.boundary_side(np.arange(mesh2.n_edges))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_euler_relation(self, domain, n):

@@ -328,6 +328,11 @@ class TestOptimalStep:
         traj = march(system, config.loads, TimeGrid(T=config.T, N=config.N), config.uzawa)
         assert (sum(traj.uzawa_iters), max(traj.uzawa_iters)) == (44, 5)
 
+    def test_rejects_indefinite_contact_block(self):
+        with pytest.raises(SolverError,
+                           match="contact Schur complement is not positive definite"):
+            _optimal_step(np.diag([1.0, -1.0]), np.ones(2))
+
 
 class TestSymmetricFactor:
     """Symmetric-mode SuperLU: the default ordering's contact response, less fill."""
@@ -396,7 +401,7 @@ class TestMarch:
         assert len(traj.uzawa_iters) == 40
         assert len(traj.displacements) == 41
 
-    @pytest.mark.parametrize("keep", [1, 2, 11, 50])
+    @pytest.mark.parametrize("keep", [1, 2, 11, 50, np.int64(2)], ids=["1", "2", "11", "50", "int64"])
     def test_keep_last_stores_the_final_nodes(self, system2, config, keep):
         grid = TimeGrid(T=1.0, N=10)
         full = march(system2, config.loads, grid, UzawaConfig())

@@ -12,6 +12,7 @@ from crcontact.assembly import assemble_stiffness
 from crcontact.mesh import (
     BoundaryLabel,
     Domain,
+    Mesh,
     generate_structured,
     refine_uniform,
 )
@@ -110,6 +111,16 @@ class TestDofLayout:
         assert np.array_equal(space.local_dofs, dofs[mesh.tri_edges])
         for arr in (space.edge_dofs, space.dof_x, space.dof_y, space.local_dofs):
             assert not arr.flags.writeable
+
+    def test_rejects_oblique_contact_edges(self):
+        # the edges from (0, 1) and from (4, 1) to (2, -1) have midpoints on
+        # the bottom (contact) side but run at 45 degrees to it
+        dom = Domain.rectangle(0, 4, 0, 4, left=BoundaryLabel.DIRICHLET, right=BoundaryLabel.NEUMANN,
+                               bottom=BoundaryLabel.CONTACT, top=BoundaryLabel.NEUMANN)
+        mesh = Mesh([[0, 1], [2, -1], [4, 1], [0, 7]], [[0, 1, 2], [0, 2, 3]], dom)
+        assert np.count_nonzero(mesh.edge_labels == BoundaryLabel.CONTACT) == 2
+        with pytest.raises(ValueError, match="contact edges must be axis-aligned"):
+            build_space(mesh)
 
     def test_contact_edges_keep_only_tangential(self, mesh2, space2):
         # the bottom side runs along x: x is tangential, y the constrained normal
