@@ -109,22 +109,27 @@ def assemble_stiffness(space: CRSpace, mat: MaterialModel, rho: float) -> Discre
     if rho <= 0:
         raise ValueError(f"stabilization parameter must be positive, got {rho}")
     nt = space.mesh.n_triangles
-
-    # element term: constant strain per triangle, one (6, 6) block each
-    elem = element_stiffness(space.grads, space.mesh.areas, mat)
-    elem_dofs = space.local_dofs.reshape(nt, 6)  # (e0x, e0y, e1x, e1y, e2x, e2y)
-
-    # jump penalty over interior and Dirichlet edges, one block per component;
-    # weight (2 rho mu / h_e) * (h_e / 2) per Gauss point
     phi, dofs = space.jump_traces()
     k = len(phi)
-    phi = phi.swapaxes(2, 3).reshape(k, 6, 2)
-    jump = mat.mu * rho * (phi @ phi.swapaxes(1, 2))
-    jump = np.repeat(jump, 2, axis=0)  # one copy per component
-    jump_dofs = dofs.reshape(k, 6, 2).swapaxes(1, 2).reshape(2 * k, 6)  # (edge, comp) rows
+    # one (6, 6) block per triangle, then one per (stabilized edge, component),
+    # written in place: the scatter's triplets are the only copy beside them
+    blocks = np.empty((nt + 2 * k, 6, 6))
+    block_dofs = np.empty((nt + 2 * k, 6), dtype=np.int32)  # as sparse_from_local takes them
 
-    blocks = np.concatenate([elem, jump])
-    block_dofs = np.concatenate([elem_dofs, jump_dofs])
+    # element term: constant strain per triangle; dofs (e0x, e0y, e1x, e1y, e2x, e2y)
+    blocks[:nt] = element_stiffness(space.grads, space.mesh.areas, mat)
+    block_dofs[:nt] = space.local_dofs.reshape(nt, 6)
+
+    # jump penalty over interior and Dirichlet edges, the same block for both
+    # components; weight (2 rho mu / h_e) * (h_e / 2) per Gauss point
+    phi = phi.swapaxes(2, 3).reshape(k, 6, 2)
+    jump = blocks[nt:].reshape(k, 2, 6, 6)
+    np.matmul(phi, phi.swapaxes(1, 2), out=jump[:, 0])
+    jump[:, 0] *= mat.mu * rho
+    jump[:, 1] = jump[:, 0]
+    block_dofs[nt:] = dofs.reshape(k, 6, 2).swapaxes(1, 2).reshape(2 * k, 6)  # (edge, comp) rows
+    del phi, dofs  # not held through the scatter
+
     n = space.n_dofs_free
     K = sparse_from_local(block_dofs[:, :, None], block_dofs[:, None, :], blocks, (n, n))
     return DiscreteSystem(space=space, K=K)

@@ -145,10 +145,12 @@ class Mesh:
         ne = len(edges)
         tri_edges = inv.reshape(3, nt).T
 
+        self.midpoints = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
         # adjacent triangles of each edge in (local edge, triangle) order
         counts = np.bincount(inv, minlength=ne)
         if np.any(counts > 2):
-            raise ValueError(f"edge {int(np.argmax(counts > 2))} shared by more than two triangles")
+            raise ValueError(f"edge at {self._at(np.argmax(counts > 2))} shared by more than "
+                             "two triangles")
         tris = np.argsort(inv, kind="stable") % nt
         start = np.cumsum(counts) - counts
         edge_tris = np.full((ne, 2), -1, dtype=np.int64)
@@ -159,7 +161,6 @@ class Mesh:
         self.edges = edges
         self.tri_edges = tri_edges
         self.edge_tris = edge_tris
-        self.midpoints = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
         dv = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         self.edge_lengths = np.hypot(dv[:, 0], dv[:, 1])
 

@@ -122,7 +122,8 @@ class TrajectorySolution:
     the variational-inequality check reads. Keeping two nodes instead of
     N+1 lowered the measured peak RSS of an L0-L6 final-mode study of
     example-5.1 from 2,528 to 700 MB, and of the L0-L4 study from 117.9 to
-    96.7 MB (2-core VM).
+    96.7 MB (2-core VM); a setup path with one working copy of what it
+    builds has since taken the latter to 90.6 MB.
     """
 
     grid: TimeGrid
@@ -144,6 +145,11 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
+def _column_norms(a: np.ndarray):
+    """Euclidean norm of each column of a, or of a vector, without forming a * a."""
+    return np.sqrt(np.einsum("i...,i...->...", a, a))
+
+
 class SPDFactor:
     """Cached sparse LU factorization of an SPD matrix with residual checks.
 
@@ -158,7 +164,9 @@ class SPDFactor:
     which a positive definite K allows. ``solve`` takes an (n,) or (n, k)
     right-hand side and returns a C-ordered solution in the original
     numbering; the residual check multiplies by the original K in CSR form,
-    which is the faster product and needs no copy of a C-ordered x.
+    which is the faster product and needs no copy of a C-ordered x. An
+    (n, k) scipy sparse right-hand side is made dense only in the new
+    numbering, for SuperLU, and the check subtracts it entry by entry.
     """
 
     def __init__(self, K: sp.spmatrix):
@@ -178,9 +186,11 @@ class SPDFactor:
         # rounding of a residual row: a dot product of q terms, one subtraction
         self._gamma_res = _gamma(int(np.diff(self.K.indptr).max(initial=0)) + 1)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # rhs[p] is freed when lu.solve returns, before the gather allocates x
-        x = self.lu.solve(rhs[self._p])[self._p_inv]
+    def solve(self, rhs: np.ndarray | sp.spmatrix) -> np.ndarray:
+        # the permuted rhs, the only dense form of a sparse one, is freed
+        # when lu.solve returns, before the gather allocates x
+        p = self._p
+        x = self.lu.solve(rhs.tocsr()[p].toarray() if sp.issparse(rhs) else rhs[p])[self._p_inv]
         self._solved = self._certificate(x, rhs)
         return x
 
@@ -211,13 +221,15 @@ class SPDFactor:
         """
         if not np.all(np.isfinite(x)):
             raise SolverError("linear solve produced non-finite values")
-        axis = 0 if x.ndim > 1 else None  # a vector's norm skips the slower axis path
-        nrhs = np.linalg.norm(rhs, axis=axis)
-        nx = np.linalg.norm(x, axis=axis)
         r = self.K @ x
-        r -= rhs
-        # norm's own r * r would be a fourth block beside rhs, x and r
-        res = np.sqrt(np.add.reduce(np.square(r, out=r), axis=0))
+        if sp.issparse(rhs):  # entry by entry: no dense copy of rhs
+            rhs = rhs.tocoo()
+            nrhs = np.sqrt(np.bincount(rhs.col, rhs.data ** 2, minlength=rhs.shape[1]))
+            np.subtract.at(r, (rhs.row, rhs.col), rhs.data)
+        else:
+            nrhs = _column_norms(rhs)
+            r -= rhs
+        nx, res = _column_norms(x), _column_norms(r)
         # backward-error criterion; reduces to res <= _RTOL*|rhs| for
         # well-scaled right-hand sides and stays meaningful as rhs -> 0
         bound = _RTOL * (nrhs + self._norm_K * nx)
@@ -242,21 +254,19 @@ def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
     """Z = K^-1 S^T diag(weights) (n x m), one guarded solve per block of columns.
 
     Given ``rows`` (e.g. the contact rows), only those rows of Z are kept.
-    The blocks bound the memory held beside Z: one block's right-hand side
-    and at most two more n x _BLOCK arrays of its solve and residual check
-    (``SPDFactor.solve``). Returns Z and the (2, m) certified residuals and
-    norms of its full columns (``SPDFactor._certified_solve``).
+    The blocks bound the memory held beside Z: each block's right-hand side
+    stays sparse, and its solve and residual check hold two n x _BLOCK
+    arrays at once (``SPDFactor.solve``). Returns Z and the (2, m) certified
+    residuals and norms of its full columns (``SPDFactor._certified_solve``).
     """
     n, m = factor.K.shape[0], len(tangent_idx)
     keep = slice(None) if rows is None else rows
     Z = np.empty((n if rows is None else len(rows), m), order="F")
     certificate = np.empty((2, m))
+    rhs = sp.csc_matrix((weights, (tangent_idx, np.arange(m))), shape=(n, m))
     for j in range(0, m, _BLOCK):
         cols = slice(j, j + _BLOCK)
-        idx = tangent_idx[cols]
-        rhs = np.zeros((n, len(idx)), order="F")
-        rhs[idx, np.arange(len(idx))] = weights[cols]
-        x, certificate[:, cols] = factor._certified_solve(rhs)
+        x, certificate[:, cols] = factor._certified_solve(rhs[:, cols])
         Z[:, cols] = x[keep]
         del x  # not held through the next block's solve
     return Z, certificate

@@ -66,10 +66,16 @@ def sparse_from_local(rows, cols, vals, shape) -> sp.csr_matrix:
     """CSR matrix from broadcast local triplets, summing repeats; a -1 row or column is dropped.
 
     A free-DOF vector is the one column ``sparse_from_local(dofs, 0, vals, (n, 1))``.
+    The indices are cast to int32 before broadcasting, so the kept triplets
+    are the only copy and scipy keeps their indices as given; they stay in
+    input order, which fixes the order in which repeats are summed.
     """
-    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-    keep = (rows >= 0) & (cols >= 0)  # two bool temporaries, not an int64 one
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    rows, cols, vals = np.broadcast_arrays(np.asarray(rows, dtype=np.int32),
+                                           np.asarray(cols, dtype=np.int32), vals)
+    keep = (rows >= 0) & (cols >= 0)
+    coo = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    del keep  # not held while tocsr sums the repeats
+    return coo.tocsr()
 
 
 class CRSpace:

@@ -1,5 +1,7 @@
 """Shared fixtures: reference domain, meshes, spaces and material."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -66,6 +68,15 @@ def field_at(fn, points):
     """``fn`` at (nt, npts, 2) points, row t inside triangle t: (nt, npts, 2)."""
     tris = np.arange(fn.space.mesh.n_triangles)
     return fn.space.basis_values(tris, points) @ fn.edge_values()[fn.space.mesh.tri_edges]
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes that tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def contact_setup(factor, idx, weights):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from crcontact.analysis import EnergyNormEvaluator
@@ -15,10 +16,11 @@ from crcontact.assembly import (
     friction_rhs,
     friction_value,
 )
+from crcontact.cli import build_meshes
 from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel, generate_structured, refine_uniform
 from crcontact.space import CRFunction, build_space, cr_gradients, interpolate_cr
-from conftest import random_cr
+from conftest import random_cr, traced_peak
 
 UNIT_MAT = MaterialModel(E=1.0, nu=0.0, lam=1.0, mu=1.0)
 
@@ -152,6 +154,37 @@ class TestStiffness:
             norm2 = evaluator.breakdown(v)
             total2 = norm2.elem_part + norm2.jump_part
             assert quad == pytest.approx(total2, rel=1e-10)
+
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_equals_the_int64_concatenated_scatter(self, config, level):
+        # the blocks stacked by np.repeat and np.concatenate, int64 indices and
+        # masked copies into coo_matrix(...).tocsr(): the same duplicate sums
+        space = build_space(build_meshes(config, level + 1)[-1])
+        mat, nt, n = config.material, space.mesh.n_triangles, space.n_dofs_free
+        phi, dofs = space.jump_traces()
+        k = len(phi)
+        phi = phi.swapaxes(2, 3).reshape(k, 6, 2)
+        jump = np.repeat(mat.mu * config.rho * (phi @ phi.swapaxes(1, 2)), 2, axis=0)
+        blocks = np.concatenate([element_stiffness(space.grads, space.mesh.areas, mat), jump])
+        block_dofs = np.concatenate([space.local_dofs.reshape(nt, 6),
+                                     dofs.reshape(k, 6, 2).swapaxes(1, 2).reshape(2 * k, 6)])
+        rows, cols, vals = np.broadcast_arrays(block_dofs[:, :, None].astype(np.int64),
+                                               block_dofs[:, None, :], blocks)
+        keep = (rows >= 0) & (cols >= 0)
+        want = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+        got = assemble_stiffness(space, mat, config.rho).K
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_assembly_peak_within_ten_times_K(self, config, level):
+        # the blocks and the scatter's one copy of the kept triplets, not the
+        # stacked and int64 copies of each
+        space = build_space(build_meshes(config, level + 1)[-1])
+        system, peak = traced_peak(lambda: assemble_stiffness(space, config.material, config.rho))
+        K = system.K
+        assert peak <= 10 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes), peak
 
 
 class TestLoadSpec:

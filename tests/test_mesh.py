@@ -126,7 +126,7 @@ class TestGenerateStructured:
         ([[0, 0], [1, 0], [0, 1]], [0, 1, 2], r"triangles must be an \(nt, 3\) array"),
         # three counterclockwise triangles on the edge (0, 0)-(1, 0)
         ([[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, -1]], [[0, 1, 2], [0, 1, 3], [1, 0, 4]],
-         "edge 0 shared by more than two triangles"),
+         r"^edge at \(0\.5, 0\.0\) shared by more than two triangles$"),
         # the square [0, 2]^2 in the domain [0, 4]^2: its right and top edges
         # are boundary edges of the mesh but not of the domain
         ([[0, 0], [2, 0], [2, 2], [0, 2]], [[0, 1, 2], [0, 2, 3]],

@@ -1,7 +1,6 @@
 """Time marching, Uzawa inner iteration and sparse SPD solves."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from crcontact.solver import (
     uzawa_iterate,
 )
 from crcontact.space import CRFunction, build_space
-from conftest import random_cr, step_from_load
+from conftest import random_cr, step_from_load, traced_peak
 
 
 # friction bound at which every contact edge of the preset sticks at T
@@ -154,6 +153,23 @@ class TestSolveSPD:
         bad[:, 0] *= 1.0 + 1e-6  # hidden under a Frobenius-norm test of the block
         with pytest.raises(SolverError):
             factor.check(bad, rhs)
+
+    def test_sparse_rhs_solves_as_its_dense_form(self):
+        factor, rhs = self.scaled_block(4)
+        rhs[np.abs(rhs) < np.median(np.abs(rhs), axis=0)] = 0.0  # half of each column
+        x = factor.solve(sp.coo_matrix(rhs))
+        assert x.flags.c_contiguous and np.array_equal(x, factor.solve(rhs))
+
+    def test_check_rejects_perturbed_solution_under_sparse_rhs(self):
+        factor, rhs = self.scaled_block(5)
+        rhs[np.abs(rhs) < np.median(np.abs(rhs), axis=0)] = 0.0
+        x = factor.solve(rhs)
+        bad = x.copy()
+        bad[3, 0] *= 1.0 + 1e-6
+        for form in (rhs, sp.coo_matrix(rhs)):
+            assert factor.check(x, form) is x
+            with pytest.raises(SolverError, match="in 1 of 20 column"):
+                factor.check(bad, form)
 
     def test_block_solve_matches_columns(self):
         factor, rhs = self.scaled_block(3)
@@ -420,22 +436,30 @@ class TestMarch:
 
     def test_two_node_march_allocates_no_trajectory(self, config):
         # L3: the all-node trajectory is 321 x 1552 doubles = 4.0 MB; a
-        # two-node march holds Z, the scratch of its block solve (at most
-        # three blocks at once: right-hand side, solution and residual, within
-        # the four allowed here) and a few node vectors
+        # two-node march holds Z, the scratch of its block solve (two blocks
+        # at once beside a sparse right-hand side, within the four allowed
+        # here) and a few node vectors
         space = build_space(build_meshes(config, 4)[-1])
         system = assemble_stiffness(space, config.material, config.rho)
         grid = TimeGrid(T=config.T, N=config.N * 8)
         n, m = space.n_dofs_free, len(space.contact_tangent_dof)
         node, Z = 8 * n, 8 * n * m
-        tracemalloc.start()
-        try:
-            march(system, config.loads, grid, config.uzawa, keep_last=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: march(system, config.loads, grid, config.uzawa, keep_last=2))
         assert (grid.N + 1, n) == (321, 1552)
         assert peak <= Z + 4 * 8 * n * min(m, _BLOCK) + 24 * node, peak
+
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_contact_block_holds_two_solve_arrays(self, config, level):
+        # each block's right-hand side stays sparse: beside M, a block solve
+        # holds two n x 32 arrays at once (permuted rhs, SuperLU's output, x,
+        # residual), where a dense right-hand side made it three
+        system = level_system(config, level)
+        idx = system.space.contact_tangent_dof
+        w = config.loads.g_a * system.space.contact_edge_lengths
+        factor = SPDFactor(system.K)
+        n, m = system.K.shape[0], len(idx)
+        (M, _), peak = traced_peak(lambda: _contact_response(factor, idx, w, rows=idx))
+        assert peak <= M.nbytes + 2.2 * 8 * n * min(m, _BLOCK), peak
 
     def test_monotone_growth_under_ramp(self, system2, material, config):
         traj = march(system2, config.loads, TimeGrid(T=1.0, N=40),
