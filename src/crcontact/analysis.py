@@ -22,18 +22,6 @@ from crcontact.space import CRFunction, CRSpace, prolongate, sparse_from_local
 
 
 @dataclass
-class EnergyNormBreakdown:
-    """Squared element and jump contributions of the mesh-dependent norm."""
-
-    elem_part: float
-    jump_part: float
-
-    @property
-    def total(self) -> float:
-        return float(np.sqrt(self.elem_part + self.jump_part))
-
-
-@dataclass
 class ConvergenceRow:
     """One line of a refinement study table."""
 
@@ -75,7 +63,8 @@ class EnergyNormEvaluator:
                 + 2 * np.arange(2)[:, None, None] + np.arange(2))
         self._jump_op = sparse_from_local(rows, dofs[:, :, None], phi[..., None], (4 * k, n))
 
-    def breakdown(self, v: CRFunction) -> EnergyNormBreakdown:
+    def breakdown(self, v: CRFunction) -> tuple[float, float]:
+        """The squared element and jump parts (|v|_h^2, |v|_*^2) of |||v|||^2."""
         lam, mu = self.material.lam, self.material.mu
         g = (self._grad_op @ v.coeffs).reshape(-1, 2, 2)
         exx = g[:, 0, 0]
@@ -89,22 +78,22 @@ class EnergyNormEvaluator:
         # (2 rho mu / h_e) * (h_e / 2) per point
         jumps = self._jump_op @ v.coeffs
         jump = float(self.rho * mu * np.dot(jumps, jumps))
-        return EnergyNormBreakdown(elem_part=elem, jump_part=jump)
+        return elem, jump
 
     def __call__(self, v: CRFunction) -> float:
-        return self.breakdown(v).total
+        elem, jump = self.breakdown(v)
+        return float(np.sqrt(elem + jump))
 
 
-def energy_norm(v: CRFunction, material: MaterialModel, rho: float) -> EnergyNormBreakdown:
+def energy_norm(v: CRFunction, material: MaterialModel, rho: float) -> float:
     """One-shot evaluation of the mesh-dependent norm of a CR function."""
-    return EnergyNormEvaluator(v.space, material, rho).breakdown(v)
+    return EnergyNormEvaluator(v.space, material, rho)(v)
 
 
 def inter_mesh_error(u_coarse: CRFunction, u_fine: CRFunction,
                      material: MaterialModel, rho: float) -> float:
     """Energy norm of (prolongated coarse - fine) on the fine mesh."""
-    diff = prolongate(u_coarse, u_fine.space) - u_fine
-    return energy_norm(diff, material, rho).total
+    return energy_norm(prolongate(u_coarse, u_fine.space) - u_fine, material, rho)
 
 
 # -- brute-force minimizer -----------------------------------------------

@@ -163,10 +163,11 @@ class SPDFactor:
     permutes rows and columns alike, and the pivots stay on the diagonal,
     which a positive definite K allows. ``solve`` takes an (n,) or (n, k)
     right-hand side and returns a C-ordered solution in the original
-    numbering; the residual check multiplies by the original K in CSR form,
-    which is the faster product and needs no copy of a C-ordered x. An
-    (n, k) scipy sparse right-hand side is made dense only in the new
-    numbering, for SuperLU, and the check subtracts it entry by entry.
+    numbering. ``check``, which ``solve`` runs on every solution, multiplies
+    by the original K in CSR form, which is the faster product and needs no
+    copy of a C-ordered x, and returns per column the certified residual and
+    |x|. An (n, k) scipy sparse right-hand side is made dense only in the
+    new numbering, for SuperLU, and the check subtracts it entry by entry.
     """
 
     def __init__(self, K: sp.spmatrix):
@@ -191,7 +192,7 @@ class SPDFactor:
         # when lu.solve returns, before the gather allocates x
         p = self._p
         x = self.lu.solve(rhs.tocsr()[p].toarray() if sp.issparse(rhs) else rhs[p])[self._p_inv]
-        self._solved = self._certificate(x, rhs)
+        self._solved = self.check(x, rhs)
         return x
 
     def _certified_solve(self, rhs: np.ndarray):
@@ -206,18 +207,13 @@ class SPDFactor:
         return x, self._solved
 
     def check(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Return x if every column solves K x = rhs to the backward-error tolerance.
+        """Check that every column solves K x = rhs to the backward-error tolerance.
 
         The test is per column of an (n, k) block, so a column with a small
-        right-hand side cannot pass on the norm of the large ones.
-        """
-        self._certificate(x, rhs)
-        return x
-
-    def _certificate(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Check x as ``check`` does; return per column (certified residual, |x|).
-
-        The certified residual bounds the exact |K x - rhs| (see ``march``).
+        right-hand side cannot pass on the norm of the large ones. Returns
+        the certificate (certified residual, |x|) per column: shape (2,) for
+        a vector, (2, k) for a block. The certified residual bounds the exact
+        |K x - rhs| (see ``march``).
         """
         if not np.all(np.isfinite(x)):
             raise SolverError("linear solve produced non-finite values")
