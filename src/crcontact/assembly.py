@@ -68,6 +68,8 @@ class LoadSpec:
             raise ValueError(f"friction bound must be nonnegative and finite, got {self.g_a}")
         if len(self.f) != 2 or [len(row) for row in self.g_coeffs] != [3, 3]:
             raise ValueError("f needs 2 entries, gx and gy need 3 (c0 cx cy)")
+        if not (np.all(np.isfinite(self.f)) and np.all(np.isfinite(self.g_coeffs))):
+            raise ValueError("f, gx and gy must be finite numbers")
         for name in (self.f_time, self.g_time):
             if name not in _TIME_FACTORS:
                 raise ValueError(f"time factor must be 'const' or 'linear', got {name!r}")

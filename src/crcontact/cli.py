@@ -12,6 +12,7 @@ import argparse
 import configparser
 import csv
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -245,7 +246,7 @@ def run_single(config: ProblemConfig, level: int = 0,
     """Solve a single level and return a summary dictionary."""
     if level < 0:
         raise ConfigError(f"solve: level must be nonnegative, got {level}")
-    meshes = build_meshes(config, level + 1)
+    meshes = _build("domain", build_meshes, config, level + 1)
     space, _, traj = solve_level(config, meshes[-1], level, log=log)
     # per non-Dirichlet edge: midpoint coordinates and the two DOF values
     keep = space.mesh.edge_labels != BoundaryLabel.DIRICHLET
@@ -276,7 +277,7 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
     """
     if config.levels < 2:
         raise ConfigError("study: need at least 2 levels for a convergence study")
-    meshes = build_meshes(config, config.levels)
+    meshes = _build("domain", build_meshes, config, config.levels)
     previous = None  # the previous level's displacements at the nodes it shares
     rows: list[ConvergenceRow] = []
     for level, mesh in enumerate(meshes):
@@ -337,6 +338,19 @@ def _config_from_args(args) -> ProblemConfig:
     return load_config(args.config)
 
 
+def _check_writable(path: Optional[str]) -> None:
+    """Raise ConfigError unless path can be opened for writing; leave no file behind."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()  # appending leaves an existing file as it is
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="crcontact",
@@ -359,6 +373,8 @@ def main(argv=None) -> int:
 
     try:
         config = _config_from_args(args)
+        # before the solve, not after it: an output path fails fast
+        _check_writable(args.dump_fields if args.command == "solve" else args.out)
         if args.command == "solve":
             summary = run_single(config, level=args.level,
                                  dump_fields=args.dump_fields, log=log)

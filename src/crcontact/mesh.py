@@ -110,7 +110,7 @@ class Mesh:
         a = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
         b = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
         areas = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-        if np.any(areas <= 0):
+        if not np.all(areas > 0):  # a nan area fails too
             raise ValueError("triangle is degenerate or clockwise")
 
         self.vertices = vertices

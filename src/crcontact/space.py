@@ -39,7 +39,7 @@ def cr_gradients(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d1 = p[..., 1, :] - p[..., 0, :]
     d2 = p[..., 2, :] - p[..., 0, :]
     area = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
-    if np.any(area <= 0):
+    if not np.all(area > 0):  # a nan area fails too
         raise ValueError("triangle is degenerate or clockwise")
     # edge opposite vertex j runs from vertex j+1 to vertex j+2
     opp = np.roll(p, -2, axis=-2) - np.roll(p, -1, axis=-2)

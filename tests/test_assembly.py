@@ -208,6 +208,16 @@ class TestLoadSpec:
         with pytest.raises(ValueError, match=r"f needs 2 entries, gx and gy need 3 \(c0 cx cy\)"):
             LoadSpec(**change)
 
+    @pytest.mark.parametrize("change", [
+        dict(f=(np.nan, 0.0)), dict(f=(0.0, -np.inf)),
+        dict(g_coeffs=((0.1, np.inf, 0.0), (0.0, 0.0, 0.0))),
+        dict(g_coeffs=((0.0, 0.0, 0.0), (0.0, 0.0, np.nan))),
+    ], ids=["f-nan", "f-inf", "gx-inf", "gy-nan"])
+    def test_rejects_non_finite_loads(self, change):
+        # the march would otherwise fail on a non-finite solve, as a SolverError
+        with pytest.raises(ValueError, match="f, gx and gy must be finite numbers"):
+            LoadSpec(**change)
+
     def test_rejects_unknown_time_factor(self):
         with pytest.raises(ValueError,
                            match="time factor must be 'const' or 'linear', got 'quadratic'"):

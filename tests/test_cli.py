@@ -25,7 +25,8 @@ from crcontact.cli import (
 )
 from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel, Domain
-from crcontact.solver import UzawaConfig, UzawaError, march
+from crcontact import cli
+from crcontact.solver import SolverError, UzawaConfig, UzawaError, march
 
 # the README's INI example, which writes out the example-5.1 preset in full
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -425,6 +426,39 @@ class TestMain:
         err = capsys.readouterr().err
         assert "solver failure: " in err and "linear solve residual" in err
         assert err.endswith("\n  at time step 1\n"), err
+
+    @pytest.mark.parametrize("command", ["solve", "study"])
+    def test_boundary_gap_exit_1(self, capsys, tmp_path, command):
+        # nothing labels [2, 4] of the bottom side; the mesh finds the gap
+        text = PRESET_INI.replace("levels = 5", "levels = 2").replace(
+            SIDE_KEYS,
+            "segments =\n    left 0 4 neumann\n    right 0 4 dirichlet\n"
+            "    bottom 0 2 contact\n    top 0 4 neumann")
+        assert main([command, "--config", write_ini(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == ("config error: domain: boundary edge at (3.0, 0.0) "
+                                           "on side 'bottom' is unlabeled\n")
+
+    @pytest.mark.parametrize("command,flag", [("solve", "--dump-fields"), ("study", "--out")])
+    def test_unwritable_output_exit_1_before_the_solve(self, monkeypatch, capsys, tmp_path,
+                                                       command, flag):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.setattr(cli, "solve_level", no_solve)
+        path = str(tmp_path / "missing" / "out.txt")
+        assert main([command, "--preset", "example-5.1", flag, path]) == 1
+        assert capsys.readouterr().err == (f"config error: cannot write {path!r}: "
+                                           "No such file or directory\n")
+
+    @pytest.mark.parametrize("command,flag", [("solve", "--dump-fields"), ("study", "--out")])
+    def test_output_check_leaves_no_file(self, monkeypatch, tmp_path, command, flag):
+        def failed_solve(*args, **kwargs):
+            raise SolverError("linear solve produced non-finite values")
+
+        monkeypatch.setattr(cli, "solve_level", failed_solve)
+        path = tmp_path / "out.txt"
+        assert main([command, "--preset", "example-5.1", flag, str(path)]) == 2
+        assert not path.exists()
 
     def test_negative_level_exit_1(self, capsys):
         assert main(["solve", "--preset", "example-5.1", "--level", "-1"]) == 1

@@ -109,6 +109,13 @@ class TestGenerateStructured:
         with pytest.raises(ValueError, match="triangle is degenerate or clockwise"):
             Mesh(mesh2.vertices, tris, mesh2.domain)
 
+    def test_rejects_nan_vertex(self, mesh2):
+        # a nan area is not <= 0, so only a test that areas are > 0 catches it
+        vertices = mesh2.vertices.copy()
+        vertices[4] = (np.nan, 2.0)  # the interior vertex of the 2 x 2 grid
+        with pytest.raises(ValueError, match="triangle is degenerate or clockwise"):
+            Mesh(vertices, mesh2.triangles, mesh2.domain)
+
     def test_rejects_zero_subdivisions(self, domain):
         with pytest.raises(ValueError, match="need at least one subdivision per side"):
             generate_structured(domain, 0)

@@ -181,6 +181,12 @@ class TestLocalBasis:
         with pytest.raises(ValueError, match="triangle is degenerate or clockwise"):
             values_on(batch, REF_MIDPOINTS)
 
+    def test_rejects_nan_triangle(self):
+        batch = np.array([REF, REF + 1.0])
+        batch[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="triangle is degenerate or clockwise"):
+            cr_gradients(batch)
+
     def test_basis_values_on_an_index_stack(self, space4, mesh4):
         # a (k, 2) stack of triangle indices, some repeated, reads the space's
         # stored gradients and must equal the raw-coordinate evaluation exactly
