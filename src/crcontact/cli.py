@@ -37,7 +37,7 @@ from crcontact.solver import (
     UzawaError,
     march,
 )
-from crcontact.space import build_space, prolongate
+from crcontact.space import CRFunction, build_space, prolongation_matrix
 
 
 class ConfigError(ValueError):
@@ -292,8 +292,9 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
         error = order = None
         if previous is not None:
             # the fine grid has twice the steps: its even nodes are the coarse ones
+            P = prolongation_matrix(previous[0].space, space)
             norm = EnergyNormEvaluator(space, config.material, config.rho)
-            error = max(norm(prolongate(uc, space) - uf)
+            error = max(norm(CRFunction(space, P @ uc.coeffs) - uf)
                         for uc, uf in zip(previous, nodes[::2], strict=True))
             if rows[-1].error:
                 order = float(np.log2(rows[-1].error / error))

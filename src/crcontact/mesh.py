@@ -45,6 +45,28 @@ class BoundarySegment:
             raise ValueError("boundary segments cannot be labeled INTERIOR")
 
 
+def _check_extent(x_min, x_max, y_min, y_max) -> None:
+    if not (-np.inf < x_min < x_max < np.inf and -np.inf < y_min < y_max < np.inf):
+        raise ValueError("domain must have finite, positive extent in both directions")
+
+
+def triangle_areas(corners) -> np.ndarray:
+    """Areas of triangles from their corners (..., 3, 2), counterclockwise positive.
+
+    Raises ValueError if any corner is not finite, or if any triangle is
+    degenerate or clockwise.
+    """
+    p = np.asarray(corners, dtype=float)
+    if not np.all(np.isfinite(p)):  # before the arithmetic, which would warn on inf
+        raise ValueError("triangle has a non-finite vertex")
+    d1 = p[..., 1, :] - p[..., 0, :]
+    d2 = p[..., 2, :] - p[..., 0, :]
+    areas = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    if not np.all(areas > 0):
+        raise ValueError("triangle is degenerate or clockwise")
+    return areas
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned rectangle with a labeled decomposition of its boundary."""
@@ -56,15 +78,14 @@ class Domain:
     boundary_spec: tuple[BoundarySegment, ...]
 
     def __post_init__(self):
-        if not (-np.inf < self.x_min < self.x_max < np.inf
-                and -np.inf < self.y_min < self.y_max < np.inf):
-            raise ValueError("domain must have finite, positive extent in both directions")
+        _check_extent(self.x_min, self.x_max, self.y_min, self.y_max)
         if not any(s.label == BoundaryLabel.DIRICHLET for s in self.boundary_spec):
             raise ValueError("the Dirichlet boundary part must have positive length")
 
     @staticmethod
     def rectangle(x_min, x_max, y_min, y_max, *, left, right, bottom, top) -> "Domain":
         """Convenience constructor labeling each full side."""
+        _check_extent(x_min, x_max, y_min, y_max)  # before the sides, which would name one
         segs = (
             BoundarySegment("left", y_min, y_max, left),
             BoundarySegment("right", y_min, y_max, right),
@@ -106,16 +127,10 @@ class Mesh:
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must be an (nt, 3) array")
 
-        # reordering a clockwise triangle would renumber its local edges
-        a = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
-        b = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
-        areas = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-        if not np.all(areas > 0):  # a nan area fails too
-            raise ValueError("triangle is degenerate or clockwise")
-
         self.vertices = vertices
         self.triangles = triangles
-        self.areas = areas
+        # reordering a clockwise triangle would renumber its local edges
+        self.areas = triangle_areas(vertices[triangles])
         self.domain = domain
         self.parent_mesh = parent_mesh
         nt = self.n_triangles

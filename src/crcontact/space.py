@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from crcontact.mesh import BoundaryLabel, Mesh, edge_sets
+from crcontact.mesh import BoundaryLabel, Mesh, edge_sets, triangle_areas
 
 #: 2-point Gauss abscissae on [-1, 1] (exact for cubics on an edge)
 GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
@@ -32,15 +32,12 @@ def cr_gradients(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Shape function j equals 1 on the edge opposite vertex j, i.e.
     psi_j = 1 - 2 * lambda_j with lambda_j the barycentric coordinate.
     ``coords`` is (..., 3, 2), one triangle or a stack of them. Returns
-    (grads (..., 3, 2), areas (...)); raises ValueError if any triangle is
-    degenerate or clockwise.
+    (grads (..., 3, 2), areas (...)); raises ValueError, from
+    ``triangle_areas``, on a non-finite corner or a degenerate or clockwise
+    triangle.
     """
     p = np.asarray(coords, dtype=float)
-    d1 = p[..., 1, :] - p[..., 0, :]
-    d2 = p[..., 2, :] - p[..., 0, :]
-    area = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
-    if not np.all(area > 0):  # a nan area fails too
-        raise ValueError("triangle is degenerate or clockwise")
+    area = triangle_areas(p)
     # edge opposite vertex j runs from vertex j+1 to vertex j+2
     opp = np.roll(p, -2, axis=-2) - np.roll(p, -1, axis=-2)
     # grad psi_j = -2 grad lambda_j, and grad lambda_j = (-opp_y, opp_x) / (2 area)
@@ -224,14 +221,11 @@ def prolongation_matrix(coarse_space: CRSpace, fine_space: CRSpace):
     Each fine DOF takes the coarse field's value at the fine edge midpoint,
     evaluated inside the parent triangle of an adjacent fine triangle. Fine
     edges lying on a coarse edge see two parents; their traces are averaged.
-    The result is cached on the fine space.
+    Built on every call; a caller that applies P more than once keeps it.
     """
     fine_mesh = fine_space.mesh
     if fine_mesh.parent_mesh is not coarse_space.mesh:
         raise ValueError("fine space is not a uniform refinement of the coarse space")
-    cached = getattr(fine_space, "_prolongation_cache", None)
-    if cached is not None and cached[0] is coarse_space:
-        return cached[1]
 
     # the parents of both adjacent fine triangles; a missing or shared
     # second parent repeats the first and gets no entries of its own
@@ -245,10 +239,8 @@ def prolongation_matrix(coarse_space: CRSpace, fine_space: CRSpace):
     traces *= np.where(shared, 1.0, 0.5)[:, None, None]
     cols = coarse_space.local_dofs[parents]  # (ne, 2 parents, 3, 2 comps)
     cols[shared, 1] = -1
-    P = sparse_from_local(fine_space.edge_dofs[:, None, None, :], cols, traces[..., None],
-                          (fine_space.n_dofs_free, coarse_space.n_dofs_free))
-    fine_space._prolongation_cache = (coarse_space, P)
-    return P
+    return sparse_from_local(fine_space.edge_dofs[:, None, None, :], cols, traces[..., None],
+                             (fine_space.n_dofs_free, coarse_space.n_dofs_free))
 
 
 def prolongate(coarse: CRFunction, fine_space: CRSpace) -> CRFunction:

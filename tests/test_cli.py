@@ -27,6 +27,7 @@ from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel, Domain
 from crcontact import cli
 from crcontact.solver import SolverError, UzawaConfig, UzawaError, march
+from crcontact.space import prolongation_matrix
 
 # the README's INI example, which writes out the example-5.1 preset in full
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -358,6 +359,22 @@ class TestConvergenceStudy:
                   for uc, uf in zip(coarse.displacements, fine.displacements[::2], strict=True))
         assert len(coarse.displacements) == cfg.N + 1
         assert error == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mode", ["final", "max"])
+    def test_one_prolongation_per_level(self, mode, monkeypatch):
+        # every shared node of a level is prolongated with the same P
+        calls = []
+
+        def counted(coarse, fine):
+            calls.append((coarse, fine))
+            return prolongation_matrix(coarse, fine)
+
+        monkeypatch.setattr(cli, "prolongation_matrix", counted)
+        cfg = dataclasses.replace(example_51_config(), levels=3, N=4, error_mode=mode)
+        run_convergence_study(cfg)
+        assert len(calls) == 2  # once for each level after the first
+        assert all(fine.mesh.parent_mesh is coarse.mesh for coarse, fine in calls)
+        assert calls[1][0] is calls[0][1]  # level 1's own space, not a rebuilt one
 
 
 class TestMain:

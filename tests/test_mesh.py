@@ -1,5 +1,7 @@
 """Mesh generation, classification, refinement and edge-set partitioning."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,14 +35,18 @@ def _all_neumann_ish_domain():
 
 class TestDomain:
     def test_rejects_empty_extent(self):
-        # the zero-width bottom and top segments are refused before the domain
-        with pytest.raises(ValueError, match=r"segment on bottom: need lo < hi, got \[0, 0\]"):
+        # the extent is checked before the zero-width bottom and top segments
+        with pytest.raises(ValueError,
+                           match="domain must have finite, positive extent in both directions"):
             Domain.rectangle(0, 0, 0, 1,
                              left=BoundaryLabel.DIRICHLET, right=BoundaryLabel.NEUMANN,
                              bottom=BoundaryLabel.NEUMANN, top=BoundaryLabel.NEUMANN)
 
-    @pytest.mark.parametrize("bounds", [(0, np.inf, 0, 1), (-np.inf, 1, 0, 1), (0, 1, 0, np.inf)],
-                             ids=["x_max-inf", "x_min-inf", "y_max-inf"])
+    @pytest.mark.parametrize("bounds", [(0, np.inf, 0, 1), (-np.inf, 1, 0, 1), (0, 1, 0, np.inf),
+                                        (np.nan, 1, 0, 1), (0, np.nan, 0, 1),
+                                        (0, 1, np.nan, 1), (0, 1, 0, np.nan)],
+                             ids=["x_max-inf", "x_min-inf", "y_max-inf",
+                                  "x_min-nan", "x_max-nan", "y_min-nan", "y_max-nan"])
     def test_rejects_non_finite_extent(self, bounds):
         with pytest.raises(ValueError,
                            match="domain must have finite, positive extent in both directions"):
@@ -110,11 +116,21 @@ class TestGenerateStructured:
             Mesh(mesh2.vertices, tris, mesh2.domain)
 
     def test_rejects_nan_vertex(self, mesh2):
-        # a nan area is not <= 0, so only a test that areas are > 0 catches it
         vertices = mesh2.vertices.copy()
         vertices[4] = (np.nan, 2.0)  # the interior vertex of the 2 x 2 grid
-        with pytest.raises(ValueError, match="triangle is degenerate or clockwise"):
-            Mesh(vertices, mesh2.triangles, mesh2.domain)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning before the refusal
+            with pytest.raises(ValueError, match="triangle has a non-finite vertex"):
+                Mesh(vertices, mesh2.triangles, mesh2.domain)
+
+    def test_rejects_inf_vertex(self, mesh2):
+        # refused before the area formula, whose inf - inf would warn first
+        vertices = mesh2.vertices.copy()
+        vertices[4] = (np.inf, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning before the refusal
+            with pytest.raises(ValueError, match="triangle has a non-finite vertex"):
+                Mesh(vertices, mesh2.triangles, mesh2.domain)
 
     def test_rejects_zero_subdivisions(self, domain):
         with pytest.raises(ValueError, match="need at least one subdivision per side"):
