@@ -244,8 +244,8 @@ def solve_level(config: ProblemConfig, mesh: Mesh, level: int,
 def run_single(config: ProblemConfig, level: int = 0,
                dump_fields: Optional[str] = None, log=None) -> dict:
     """Solve a single level and return a summary dictionary."""
-    if level < 0:
-        raise ConfigError(f"solve: level must be nonnegative, got {level}")
+    if not (isinstance(level, numbers.Integral) and level >= 0):
+        raise ConfigError(f"solve: level must be a nonnegative integer, got {level!r}")
     meshes = _build("domain", build_meshes, config, level + 1)
     space, _, traj = solve_level(config, meshes[-1], level, log=log)
     # per non-Dirichlet edge: midpoint coordinates and the two DOF values

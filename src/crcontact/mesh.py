@@ -41,6 +41,9 @@ class BoundarySegment:
             raise ValueError(f"unknown side {self.side!r}, expected one of {SIDES}")
         if not self.lo < self.hi:
             raise ValueError(f"segment on {self.side}: need lo < hi, got [{self.lo}, {self.hi}]")
+        if not isinstance(self.label, BoundaryLabel):
+            raise ValueError(f"segment on {self.side}: label must be a BoundaryLabel, "
+                             f"got {self.label!r}")
         if self.label == BoundaryLabel.INTERIOR:
             raise ValueError("boundary segments cannot be labeled INTERIOR")
 

@@ -161,13 +161,12 @@ class SPDFactor:
     6.25M, 39.0M -> 33.4M, 209.0M -> 171.0M). SuperLU then factors the
     renumbered K in symmetric mode: one minimum-degree ordering of K^T + K
     permutes rows and columns alike, and the pivots stay on the diagonal,
-    which a positive definite K allows. ``solve`` takes an (n,) or (n, k)
-    right-hand side and returns a C-ordered solution in the original
+    which a positive definite K allows. ``solve`` takes a dense (n,) or
+    (n, k) right-hand side and returns a C-ordered solution in the original
     numbering. ``check``, which ``solve`` runs on every solution, multiplies
     by the original K in CSR form, which is the faster product and needs no
-    copy of a C-ordered x, and returns per column the certified residual and
-    |x|. An (n, k) scipy sparse right-hand side is made dense only in the
-    new numbering, for SuperLU, and the check subtracts it entry by entry.
+    copy of a C-ordered x, and returns per column the certified residual
+    and |x|.
     """
 
     def __init__(self, K: sp.spmatrix):
@@ -187,11 +186,9 @@ class SPDFactor:
         # rounding of a residual row: a dot product of q terms, one subtraction
         self._gamma_res = _gamma(int(np.diff(self.K.indptr).max(initial=0)) + 1)
 
-    def solve(self, rhs: np.ndarray | sp.spmatrix) -> np.ndarray:
-        # the permuted rhs, the only dense form of a sparse one, is freed
-        # when lu.solve returns, before the gather allocates x
-        p = self._p
-        x = self.lu.solve(rhs.tocsr()[p].toarray() if sp.issparse(rhs) else rhs[p])[self._p_inv]
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        # the permuted rhs is freed when lu.solve returns, before the gather allocates x
+        x = self.lu.solve(rhs[self._p])[self._p_inv]
         self._solved = self.check(x, rhs)
         return x
 
@@ -218,14 +215,8 @@ class SPDFactor:
         if not np.all(np.isfinite(x)):
             raise SolverError("linear solve produced non-finite values")
         r = self.K @ x
-        if sp.issparse(rhs):  # entry by entry: no dense copy of rhs
-            rhs = rhs.tocoo()
-            nrhs = np.sqrt(np.bincount(rhs.col, rhs.data ** 2, minlength=rhs.shape[1]))
-            np.subtract.at(r, (rhs.row, rhs.col), rhs.data)
-        else:
-            nrhs = _column_norms(rhs)
-            r -= rhs
-        nx, res = _column_norms(x), _column_norms(r)
+        r -= rhs
+        nrhs, nx, res = _column_norms(rhs), _column_norms(x), _column_norms(r)
         # backward-error criterion; reduces to res <= _RTOL*|rhs| for
         # well-scaled right-hand sides and stays meaningful as rhs -> 0
         bound = _RTOL * (nrhs + self._norm_K * nx)
@@ -242,7 +233,7 @@ def projection_P(chi):
 
 
 # columns of the contact response solved together by ``_contact_response``
-_BLOCK = 32
+_BLOCK = 16
 
 
 def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
@@ -251,18 +242,22 @@ def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
 
     Given ``rows`` (e.g. the contact rows), only those rows of Z are kept.
     The blocks bound the memory held beside Z: each block's right-hand side
-    stays sparse, and its solve and residual check hold two n x _BLOCK
-    arrays at once (``SPDFactor.solve``). Returns Z and the (2, m) certified
-    residuals and norms of its full columns (``SPDFactor._certified_solve``).
+    is a dense n x _BLOCK array, and its solve and residual check hold three
+    n x _BLOCK arrays at once: the right-hand side and two of (its permuted
+    copy, SuperLU's output, x, the residual) (``SPDFactor.solve``).
+    Returns Z and the (2, m) certified residuals and norms of its full
+    columns (``SPDFactor._certified_solve``).
     """
     n, m = factor.K.shape[0], len(tangent_idx)
     keep = slice(None) if rows is None else rows
     Z = np.empty((n if rows is None else len(rows), m), order="F")
     certificate = np.empty((2, m))
-    rhs = sp.csc_matrix((weights, (tangent_idx, np.arange(m))), shape=(n, m))
     for j in range(0, m, _BLOCK):
         cols = slice(j, j + _BLOCK)
-        x, certificate[:, cols] = factor._certified_solve(rhs[:, cols])
+        idx = tangent_idx[cols]
+        rhs = np.zeros((n, len(idx)))
+        rhs[idx, np.arange(len(idx))] = weights[cols]
+        x, certificate[:, cols] = factor._certified_solve(rhs)
         Z[:, cols] = x[keep]
         del x  # not held through the next block's solve
     return Z, certificate

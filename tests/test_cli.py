@@ -269,6 +269,11 @@ class TestRunSingle:
             parts = [float(tok) for tok in ln.split()]
             assert len(parts) == 4
 
+    @pytest.mark.parametrize("level", [-1, 1.5, "1"], ids=["negative", "float", "string"])
+    def test_rejects_level_that_is_not_a_nonnegative_integer(self, level):
+        with pytest.raises(ConfigError, match="solve: level must be a nonnegative integer"):
+            run_single(example_51_config(), level=level)
+
 
 class TestSolveLevel:
     def test_error_mode_sets_the_kept_nodes(self):
@@ -479,7 +484,8 @@ class TestMain:
 
     def test_negative_level_exit_1(self, capsys):
         assert main(["solve", "--preset", "example-5.1", "--level", "-1"]) == 1
-        assert "config error: solve: level must be nonnegative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: solve: level must be a nonnegative integer, got -1" in err
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):

@@ -69,6 +69,12 @@ class TestDomain:
         with pytest.raises(ValueError, match="boundary segments cannot be labeled INTERIOR"):
             BoundarySegment("left", 0, 1, BoundaryLabel.INTERIOR)
 
+    @pytest.mark.parametrize("label", ["neumann", 2, None])
+    def test_rejects_label_that_is_not_a_boundary_label(self, label):
+        with pytest.raises(ValueError, match="segment on left: label must be a BoundaryLabel"):
+            Domain.rectangle(0, 4, 0, 4, left=label, right=BoundaryLabel.DIRICHLET,
+                             bottom=BoundaryLabel.CONTACT, top=BoundaryLabel.NEUMANN)
+
 
 class TestGenerateStructured:
     def test_counts_2x2(self, mesh2):
