@@ -156,11 +156,19 @@ class TestSolveSPD:
 
     def test_block_guard_is_per_column(self):
         factor, rhs = self.scaled_block(2)
+        x = factor.solve(rhs)
+        bad = x.copy()
+        bad[:, 0] *= 1.0 + 1e-6  # hidden under a Frobenius-norm test of the block
+        with pytest.raises(SolverError):
+            factor.check(bad, rhs)
+
+    def test_check_rejects_perturbed_solution_under_sparse_rhs(self):
+        factor, rhs = self.scaled_block(5)
         rhs[np.abs(rhs) < np.median(np.abs(rhs), axis=0)] = 0.0  # half of each column
         x = factor.solve(rhs)
         self.assert_certificate(factor, x, rhs)
         bad = x.copy()
-        bad[:, 0] *= 1.0 + 1e-6  # hidden under a Frobenius-norm test of the block
+        bad[3, 0] *= 1.0 + 1e-6
         with pytest.raises(SolverError, match="in 1 of 20 column"):
             factor.check(bad, rhs)
 
