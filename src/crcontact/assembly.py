@@ -9,9 +9,11 @@ midpoint rule per contact edge, whose value is exactly the tangential DOF.
 Each term is built in one pass per mesh from the basis data the
 ``CRSpace`` owns: its element gradients, its signed jump traces and its
 basis values at the Neumann Gauss points. The stiffness triplets and the
-load and friction vectors come from the space's DOF maps and go through
+load vector come from the space's DOF maps and go through
 ``sparse_from_local``, the one scatter, so no term here reads which DOFs are
-eliminated.
+eliminated. The friction vector is the exception: each contact edge has one
+distinct free tangential DOF, so ``friction_rhs`` writes its values with
+one assignment, with nothing to sum or drop.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def friction_value(space: CRSpace, g_a: float, v: CRFunction) -> float:
 def friction_rhs(space: CRSpace, g_a: float, lam: np.ndarray) -> np.ndarray:
     """Uzawa coupling vector: g_a h_e lambda_e at each tangential contact DOF.
 
-    This vector is subtracted from the load in the Uzawa linear solve.
+    ``march`` subtracts it from the load when it checks a returned node.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(space.contact_edges),):
@@ -178,6 +180,6 @@ def friction_rhs(space: CRSpace, g_a: float, lam: np.ndarray) -> np.ndarray:
             f"expected one multiplier per contact edge ({len(space.contact_edges)}), got {lam.shape}")
     if np.any(np.abs(lam) > 1.0 + 1e-12):
         raise ValueError("friction multiplier out of [-1, 1]")
-    vals = g_a * space.contact_edge_lengths * lam
-    return sparse_from_local(space.contact_tangent_dof, 0, vals,
-                             (space.n_dofs_free, 1)).toarray().ravel()
+    out = np.zeros(space.n_dofs_free)
+    out[space.contact_tangent_dof] = g_a * space.contact_edge_lengths * lam
+    return out

@@ -25,10 +25,8 @@ evaluated only once |M dlambda|_inf < eps, since the first bounds the
 second, and u = b - Z lambda is formed in that same pass over Z, once per
 step.
 
-Each step's u is certified to solve K u = F(t_n) - c(lambda_n) to the
-factorization's backward-error tolerance from the residuals of the setup
-solves, without a product with K; the explicit test runs only when that
-bound fails (see ``march``).
+Every node that ``march`` returns, except the rest state u_0, is checked
+against K u = F(t_n) - c(lambda_n) with one product with K.
 """
 
 from __future__ import annotations
@@ -139,12 +137,6 @@ class TrajectorySolution:
 _RTOL = 1e-12  # backward-error tolerance of every checked solve
 
 
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), the rounding bound of k floating-point operations."""
-    ku = k * np.finfo(float).eps / 2
-    return ku / (1.0 - ku)
-
-
 def _column_norms(a: np.ndarray):
     """Euclidean norm of each column of a, or of a vector, without forming a * a."""
     return np.sqrt(np.einsum("i...,i...->...", a, a))
@@ -165,8 +157,7 @@ class SPDFactor:
     (n, k) right-hand side and returns a C-ordered solution in the original
     numbering. ``check``, which ``solve`` runs on every solution, multiplies
     by the original K in CSR form, which is the faster product and needs no
-    copy of a C-ordered x, and returns per column the certified residual
-    and |x|.
+    copy of a C-ordered x.
     """
 
     def __init__(self, K: sp.spmatrix):
@@ -183,34 +174,18 @@ class SPDFactor:
         except RuntimeError as exc:  # singular factorization
             raise SolverError(f"factorization failed: {exc}") from exc
         self._norm_K = spla.norm(self.K, np.inf) if self.K.nnz else 0.0
-        # rounding of a residual row: a dot product of q terms, one subtraction
-        self._gamma_res = _gamma(int(np.diff(self.K.indptr).max(initial=0)) + 1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         # the permuted rhs is freed when lu.solve returns, before the gather allocates x
         x = self.lu.solve(rhs[self._p])[self._p_inv]
-        self._solved = self.check(x, rhs)
+        self.check(x, rhs)
         return x
 
-    def _certified_solve(self, rhs: np.ndarray):
-        """``solve``, returning x and, per column, its certified residual and |x|.
-
-        ``solve`` keeps it in ``_solved`` and returns x alone: the benchmark's
-        setup workload passes that return value to ``CRFunction``, and its
-        tracer counts the ``solve`` calls under ``march``
-        (``tests/test_trace_contract.py``), so these solves go through it.
-        """
-        x = self.solve(rhs)
-        return x, self._solved
-
-    def check(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def check(self, x: np.ndarray, rhs: np.ndarray) -> None:
         """Check that every column solves K x = rhs to the backward-error tolerance.
 
         The test is per column of an (n, k) block, so a column with a small
-        right-hand side cannot pass on the norm of the large ones. Returns
-        the certificate (certified residual, |x|) per column: shape (2,) for
-        a vector, (2, k) for a block. The certified residual bounds the exact
-        |K x - rhs| (see ``march``).
+        right-hand side cannot pass on the norm of the large ones.
         """
         if not np.all(np.isfinite(x)):
             raise SolverError("linear solve produced non-finite values")
@@ -224,7 +199,6 @@ class SPDFactor:
         if np.any(fail):
             raise SolverError(f"linear solve residual {np.max(res * fail):.3e} exceeds "
                               f"tolerance in {np.count_nonzero(fail)} of {np.size(fail)} column(s)")
-        return np.array([res + self._gamma_res * (self._norm_K * nx + nrhs), nx])
 
 
 def projection_P(chi):
@@ -245,22 +219,19 @@ def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
     is a dense n x _BLOCK array, and its solve and residual check hold three
     n x _BLOCK arrays at once: the right-hand side and two of (its permuted
     copy, SuperLU's output, x, the residual) (``SPDFactor.solve``).
-    Returns Z and the (2, m) certified residuals and norms of its full
-    columns (``SPDFactor._certified_solve``).
     """
     n, m = factor.K.shape[0], len(tangent_idx)
     keep = slice(None) if rows is None else rows
     Z = np.empty((n if rows is None else len(rows), m), order="F")
-    certificate = np.empty((2, m))
     for j in range(0, m, _BLOCK):
         cols = slice(j, j + _BLOCK)
         idx = tangent_idx[cols]
         rhs = np.zeros((n, len(idx)))
         rhs[idx, np.arange(len(idx))] = weights[cols]
-        x, certificate[:, cols] = factor._certified_solve(rhs)
+        x = factor.solve(rhs)
         Z[:, cols] = x[keep]
         del x  # not held through the next block's solve
-    return Z, certificate
+    return Z
 
 
 def _optimal_step(M: np.ndarray, weights: np.ndarray) -> float:
@@ -290,7 +261,7 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float, factor: SPD
     if len(idx) == 0 or g_a == 0.0:
         return 1.0
     w = g_a * system.space.contact_edge_lengths
-    return k_n / g_a * _optimal_step(_contact_response(factor, idx, w, rows=idx)[0], w)
+    return k_n / g_a * _optimal_step(_contact_response(factor, idx, w, rows=idx), w)
 
 
 def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, M: np.ndarray, tangent_idx: np.ndarray,
@@ -355,12 +326,6 @@ def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.
     return CRFunction(space, u), lam, it
 
 
-def _step_bound(bound, t_n: float, lam: np.ndarray) -> float:
-    """B_n = b_0 + t_n b_1 + |lambda_n| . b_Z from ``march``'s per-level (b_0, b_1, b_Z)."""
-    b_0, b_1, b_Z = bound
-    return b_0 + t_n * b_1 + np.abs(lam) @ b_Z
-
-
 def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
           cfg: UzawaConfig, log: Optional[Callable[[str], None]] = None,
           keep_last: Optional[int] = None) -> TrajectorySolution:
@@ -374,25 +339,12 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     responses U_0, U_1 to the affine load F(t) = F_0 + t F_1; M = Z[contact
     rows] is formed once.
 
-    Each step's u_n = U_0 + t_n U_1 - Z lambda_n is certified against
-    K u = F(t_n) - c(lambda_n) without a product with K. Each setup column x
-    has the certified residual rho = |fl(K x - b)| + gamma_{q+1} (|K|_inf |x|
-    + |b|) (q the most nonzeros in a row of K, gamma_k = k u / (1 - k u) for
-    the unit roundoff u, |K|_2 <= |K|_inf as K is symmetric; Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.5). By
-    linearity, with |lambda| <= 1, gamma_K = gamma_{m+3} |K|_inf and
-    w = g_a h_e, the residual of u_n is at most
-
-        B_n = rho_U0 + t_n rho_U1 + sum_j |lambda_j| (rho_Zj + gamma_K |Z_j|)
-              + gamma_K (|U_0| + t_n |U_1|) + gamma_3 (|F_0| + t_n |F_1| + |w|).
-
-    A step passes if B_n < _RTOL |K|_inf |u_n| / 2 < inf, the other half
-    covering the explicit test's own rounding; otherwise (a nan or inf,
-    u = 0, a loose bound) the explicit check runs.
-
     Only the displacements of the last ``keep_last`` nodes are stored (all
     N+1 when None), as the step results themselves; the multipliers of
-    every node are. A step that fails raises with its ``step`` set.
+    every node are. Once the time loop ends, each stored node n >= 1 is
+    checked against K u_n = F(t_n) - c(lambda_n) (``SPDFactor.check``).
+    Node 0 is not: the rest state solves no equation when F(0) != 0. A
+    step or check that fails raises with its ``step`` set.
     """
     if keep_last is not None and not (isinstance(keep_last, numbers.Integral) and keep_last >= 1):
         raise ValueError("keep_last must be None or an integer of at least 1")
@@ -401,34 +353,22 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     kept = deque([u], maxlen=None if keep_last is None else int(keep_last))  # an int, not np.int64
     factor = SPDFactor(system.K)
     idx = space.contact_tangent_dof
-    m = len(idx)
-    w = loads.g_a * space.contact_edge_lengths
-    gamma_K = _gamma(m + 3) * factor._norm_K  # rounding of forming u_n, times |K|
     Z = M = step = None
-    b_Z = np.zeros(m)
-    if m and loads.g_a != 0.0:
-        Z, (rho_Z, norm_Z) = _contact_response(factor, idx, w)
-        b_Z = rho_Z + gamma_K * norm_Z
+    if len(idx) and loads.g_a != 0.0:
+        w = loads.g_a * space.contact_edge_lengths
+        Z = _contact_response(factor, idx, w)
         M = np.asfortranarray(Z[idx])
         step = _optimal_step(M, w)
     F_0 = assemble_load(space, loads, 0.0)
     F_1 = assemble_load(space, loads, 1.0) - F_0
-    U, ((rho_0, rho_1), (norm_0, norm_1)) = factor._certified_solve(np.column_stack((F_0, F_1)))
-    U_0, U_1 = U.T.copy()  # contiguous rows: each step reads U_0 + t_n U_1
-    gamma_3 = _gamma(3)  # rounding of forming F(t_n) - c(lambda_n)
-    bound = (rho_0 + gamma_K * norm_0 + gamma_3 * (np.linalg.norm(F_0) + np.linalg.norm(w)),
-             rho_1 + gamma_K * norm_1 + gamma_3 * np.linalg.norm(F_1), b_Z)
-    # the other half covers the explicit test's own rounding
-    tol = 0.5 * _RTOL * factor._norm_K
+    U_0, U_1 = factor.solve(np.column_stack((F_0, F_1))).T.copy()  # contiguous rows
 
-    lam = np.zeros(m)
+    lam = np.zeros(len(idx))
     multipliers = [lam]
     iters = []
     for n, t_n in enumerate(grid.nodes[1:], start=1):
         try:
             u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, M, u, lam, step, cfg)
-            if not _step_bound(bound, t_n, lam) < tol * np.sqrt(u.coeffs @ u.coeffs) < np.inf:
-                factor.check(u.coeffs, F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, lam))
         except SolverError as exc:
             exc.step = n
             raise
@@ -437,5 +377,14 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
         iters.append(it)
         if log is not None:
             log(f"step {n}: t={t_n:.6g} uzawa_iters={it}")
+    start = grid.N + 1 - len(kept)
+    for n, t_n, u in zip(range(start, grid.N + 1), grid.nodes[start:], kept):
+        if n == 0:
+            continue
+        try:
+            factor.check(u.coeffs, F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, multipliers[n]))
+        except SolverError as exc:
+            exc.step = n
+            raise
     return TrajectorySolution(grid=grid, displacements=list(kept), multipliers=multipliers,
                               uzawa_iters=iters)

@@ -9,8 +9,9 @@ A ``CRSpace`` holds the one DOF map, ``edge_dofs``, with -1 for an
 eliminated component, and computes the gradients of its basis
 psi_j = 1 - 2 lambda_j once; every consumer reads them through the space.
 ``sparse_from_local`` is the one scatter: it builds each sparse operator and
-free-DOF vector and drops the -1 entries. ``CRFunction.edge_values`` is the
-one gather.
+free-DOF vector and drops the -1 entries, except the friction vector, whose
+one distinct free DOF per contact edge takes a plain assignment.
+``CRFunction.edge_values`` is the one gather.
 """
 
 from __future__ import annotations

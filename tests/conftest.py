@@ -81,7 +81,7 @@ def traced_peak(fn):
 
 def contact_setup(factor, idx, weights):
     """The contact response Z, its contact block M and the Uzawa step, as ``march`` forms them."""
-    Z, _ = _contact_response(factor, idx, weights)
+    Z = _contact_response(factor, idx, weights)
     M = np.asfortranarray(Z[idx])
     return Z, M, _optimal_step(M, weights)
 

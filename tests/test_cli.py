@@ -438,16 +438,14 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["solve", "study"])
     def test_failed_step_check_exit_2(self, monkeypatch, capsys, tmp_path, command):
-        # zero loads: u = 0, so every step takes the explicit residual check,
-        # which a wrong friction vector fails
-        text = PRESET_INI.replace("gx = 0.1 0 -0.02", "gx = 0 0 0").replace(
-            "gy = -0.01 0 0", "gy = 0 0 0")
+        # a wrong friction vector fails the check of node N - 1 = 39 at level
+        # 0, the first of the two nodes that final mode returns
         monkeypatch.setattr("crcontact.solver.friction_rhs",
                             lambda space, g_a, lam: np.ones(space.n_dofs_free))
-        assert main([command, "--config", write_ini(tmp_path, text)]) == 2
+        assert main([command, "--config", write_ini(tmp_path, PRESET_INI)]) == 2
         err = capsys.readouterr().err
         assert "solver failure: " in err and "linear solve residual" in err
-        assert err.endswith("\n  at time step 1\n"), err
+        assert err.endswith("\n  at time step 39\n"), err
 
     @pytest.mark.parametrize("command", ["solve", "study"])
     def test_boundary_gap_exit_1(self, capsys, tmp_path, command):
