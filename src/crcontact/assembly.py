@@ -172,7 +172,7 @@ def friction_value(space: CRSpace, g_a: float, v: CRFunction) -> float:
 def friction_rhs(space: CRSpace, g_a: float, lam: np.ndarray) -> np.ndarray:
     """Uzawa coupling vector: g_a h_e lambda_e at each tangential contact DOF.
 
-    ``march`` subtracts it from the load when it checks a returned node.
+    A trajectory subtracts it from the load when it checks a node it forms.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(space.contact_edges),):

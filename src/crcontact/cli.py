@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -30,13 +29,7 @@ from crcontact.mesh import (
     generate_structured,
     refine_uniform,
 )
-from crcontact.solver import (
-    SolverError,
-    TimeGrid,
-    UzawaConfig,
-    UzawaError,
-    march,
-)
+from crcontact.solver import SolverError, TimeGrid, UzawaConfig, UzawaError, is_integer, march
 from crcontact.space import CRFunction, build_space, prolongation_matrix
 
 
@@ -67,9 +60,9 @@ class ProblemConfig:
             TimeGrid(self.T, self.N)
         except ValueError as exc:
             problems.append(f"study: {exc}")
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+        if not (is_integer(self.n) and self.n >= 1):
             problems.append("study: n must be an integer of at least 1")
-        if not (isinstance(self.levels, numbers.Integral) and self.levels >= 1):
+        if not (is_integer(self.levels) and self.levels >= 1):
             problems.append("study: levels must be an integer of at least 1")
         if self.error_mode not in ("final", "max"):
             problems.append("study: error_mode must be 'final' or 'max'")
@@ -228,23 +221,17 @@ def build_meshes(config: ProblemConfig, levels: int) -> list[Mesh]:
 
 def solve_level(config: ProblemConfig, mesh: Mesh, level: int,
                 log=None) -> tuple:
-    """March the fully-discrete scheme on one refinement level.
-
-    The trajectory keeps every node's displacement in ``error_mode = "max"``;
-    in ``"final"`` it keeps u_{N-1} and u_N, which the final-step velocity reads.
-    """
+    """March the fully-discrete scheme on one refinement level."""
     space = build_space(mesh)
     system = assemble_stiffness(space, config.material, config.rho)
     grid = TimeGrid(T=config.T, N=config.N * 2**level)
-    traj = march(system, config.loads, grid, config.uzawa, log=log,
-                 keep_last=None if config.error_mode == "max" else 2)
-    return space, system, traj
+    return space, system, march(system, config.loads, grid, config.uzawa, log=log)
 
 
 def run_single(config: ProblemConfig, level: int = 0,
                dump_fields: Optional[str] = None, log=None) -> dict:
     """Solve a single level and return a summary dictionary."""
-    if not (isinstance(level, numbers.Integral) and level >= 0):
+    if not (is_integer(level) and level >= 0):
         raise ConfigError(f"solve: level must be a nonnegative integer, got {level!r}")
     meshes = _build("domain", build_meshes, config, level + 1)
     space, _, traj = solve_level(config, meshes[-1], level, log=log)
@@ -283,12 +270,13 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
     for level, mesh in enumerate(meshes):
         try:
             space, _, traj = solve_level(config, mesh, level, log=log)
+            # u_N, or a view that forms and checks each node when it is read
+            nodes = traj.displacements if config.error_mode == "max" else [traj.final]
         except SolverError as exc:
             exc.args = (f"level {level}: {exc}",) + exc.args[1:]
             raise
         grid = traj.grid
-        # the nodes shared with the next level: the last one, or every one
-        nodes = traj.displacements if config.error_mode == "max" else [traj.final]
+        del traj  # in final mode, nothing of the march outlives u_N
         error = order = None
         if previous is not None:
             # the fine grid has twice the steps: its even nodes are the coarse ones

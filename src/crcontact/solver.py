@@ -11,28 +11,20 @@ DOFs and mu the eigenvalues of the contact block M below. The paper's step
 rho_tilde g_a / k_n is s: j is positively homogeneous, so k_n cancels, and
 s depends on neither k_n nor the load, so one s serves every step of a
 level. The iteration runs in contact space. Once per level, ``march``
-factors K (SuperLU in symmetric mode, after a bandwidth-reducing
-renumbering) and computes the contact response
-Z = K^-1 S^T diag(g_a h_e) (the Delassus operator of nonsmooth contact
-dynamics, solved in blocks of contact edges) and, in one two-column solve,
-the responses U_0, U_1 to the load at t = 0 and to its slope, since every
-load is affine in t: F(t) = F_0 + t F_1. With b = U_0 + t_n U_1, a step
-iterates on the m x m contact block M = S Z and the contact rows
-u_tau = (b - Z lambda)_tau, updating u_tau <- u_tau - M (lambda_new - lambda):
-no sparse solve per step or iteration, and no n-row work per iteration.
-The stopping test |Z dlambda|_inf < eps still reads all n rows; it is
-evaluated only once |M dlambda|_inf < eps, since the first bounds the
-second, and u = b - Z lambda is formed in that same pass over Z, once per
-step.
-
-Every node that ``march`` returns, except the rest state u_0, is checked
-against K u = F(t_n) - c(lambda_n) with one product with K.
+factors K and computes the contact response Z = K^-1 S^T diag(g_a h_e)
+(the Delassus operator of nonsmooth contact dynamics) and the responses
+U_0, U_1 to the load at t = 0 and to its slope, since every load is affine
+in t: F(t) = F_0 + t F_1. A step iterates on the m x m contact block
+M = S Z and the contact rows of b - Z lambda, b = U_0 + t_n U_1: no sparse
+solve per step or iteration, and no n-row work per iteration
+(``uzawa_iterate``). The march stores the multipliers, not the nodes
+u_n = b - Z lambda_n (``TrajectorySolution``).
 """
 
 from __future__ import annotations
 
 import numbers
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,7 +34,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from crcontact.assembly import DiscreteSystem, LoadSpec, assemble_load, friction_rhs
-from crcontact.space import CRFunction
+from crcontact.space import CRFunction, CRSpace
 
 
 class SolverError(RuntimeError):
@@ -50,10 +42,12 @@ class SolverError(RuntimeError):
 
     A linear solve breaks down (non-SPD matrix or bad residual) or, as
     ``UzawaError``, the inner iteration does not converge. When raised by a
-    time step of ``march``, ``step`` names that step.
+    step of ``march`` or by reading a node, ``step`` names that step.
     """
 
-    step = None
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
 
 
 class UzawaError(SolverError):
@@ -70,6 +64,11 @@ class UzawaError(SolverError):
         self.history = history
 
 
+def is_integer(value) -> bool:
+    """The rule for a count: a Python or NumPy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [0, T] into N steps."""
@@ -78,7 +77,7 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not (isinstance(self.N, numbers.Integral) and self.N >= 1):
+        if not (is_integer(self.N) and self.N >= 1):
             raise ValueError("need at least one time step and an integer N")
         if not 0 < self.T < np.inf:
             raise ValueError("final time must be positive and finite")
@@ -104,34 +103,72 @@ class UzawaConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not (0 < self.eps < np.inf and isinstance(self.max_iter, numbers.Integral)
-                and self.max_iter >= 1):
+        if not (0 < self.eps < np.inf and is_integer(self.max_iter) and self.max_iter >= 1):
             raise ValueError("need finite eps > 0 and an integer max_iter >= 1")
 
 
 @dataclass
 class TrajectorySolution:
-    """Fully-discrete solution: the kept displacements and every node's multiplier.
+    """Fully-discrete solution: every node's multiplier, and what forms its displacement.
 
-    ``displacements`` holds the last nodes that ``march`` was asked to keep,
-    in order and ending at u_N: every node 0..N by default. The study in
-    ``error_mode = "max"`` keeps them all; in ``"final"`` it keeps u_{N-1}
-    and u_N, the pair that the final-step velocity (u_N - u_{N-1}) / k of
-    the variational-inequality check reads. Keeping two nodes instead of
-    N+1 lowered the measured peak RSS of an L0-L6 final-mode study of
-    example-5.1 from 2,528 to 700 MB, and of the L0-L4 study from 117.9 to
-    96.7 MB (2-core VM); a setup path with one working copy of what it
-    builds has since taken the latter to 90.6 MB.
+    Reading node n (``displacements[n]``, ``final``) forms u_n = U_0 + t_n U_1 -
+    Z lambda_n (Z is None without contact or friction) and checks it against
+    K u_n = F_0 + t_n F_1 - c(lambda_n), one product with K; a failure raises
+    ``SolverError`` with ``step = n``. Node 0, the rest state, is zero and
+    unchecked. Iteration forms ``_BLOCK`` nodes at once; none is stored or cached.
     """
 
     grid: TimeGrid
-    displacements: list  # CRFunction per kept node: nodes N+1-len..N
     multipliers: list  # multiplier array per node (zeros at node 0)
     uzawa_iters: list  # inner iteration count per step 1..N
+    space: CRSpace
+    K: sp.csr_matrix
+    norm_K: float  # |K|_inf, for the residual check
+    g_a: float
+    U: np.ndarray  # rows U_0, U_1
+    F: np.ndarray  # rows F_0, F_1
+    Z: Optional[np.ndarray]
+
+    @property
+    def displacements(self) -> Sequence:
+        """Read-only view of nodes 0..N; each read forms and checks its node."""
+        return _Nodes(self, range(self.grid.N + 1))
 
     @property
     def final(self) -> CRFunction:
         return self.displacements[-1]
+
+    def _nodes(self, index: Sequence):
+        """Yield nodes ``index``, formed in one product with Z and checked one at a time."""
+        t, lams = self.grid.nodes[index], [self.multipliers[n] for n in index]
+        u = self.U[0] + t[:, None] * self.U[1]  # a node per row
+        if self.Z is not None:
+            u -= np.array(lams) @ self.Z.T
+        for n, t_n, u_n, lam in zip(index, t, u, lams):
+            if n:  # node 0 is the rest state, which solves no equation when F(0) != 0
+                rhs = self.F[0] + t_n * self.F[1] - friction_rhs(self.space, self.g_a, lam)
+                _check_residual(self.K, self.norm_K, u_n, rhs, step=n)
+            yield CRFunction(self.space, u_n if n else np.zeros_like(u_n))
+
+
+class _Nodes(Sequence):
+    """The nodes of a trajectory at the indices ``index`` (a range); slices stay views."""
+
+    def __init__(self, traj: TrajectorySolution, index: range):
+        self._traj, self._index = traj, index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Nodes(self._traj, self._index[i])
+        return next(self._traj._nodes([self._index[i]]))
+
+    def __iter__(self):
+        # a block of nodes reads Z once: at L6, 1.7 ms a node against 7.6 ms alone
+        for j in range(0, len(self._index), _BLOCK):
+            yield from self._traj._nodes(self._index[j:j + _BLOCK])
 
 
 _RTOL = 1e-12  # backward-error tolerance of every checked solve
@@ -140,6 +177,28 @@ _RTOL = 1e-12  # backward-error tolerance of every checked solve
 def _column_norms(a: np.ndarray):
     """Euclidean norm of each column of a, or of a vector, without forming a * a."""
     return np.sqrt(np.einsum("i...,i...->...", a, a))
+
+
+def _check_residual(K: sp.csr_matrix, norm_K: float, x: np.ndarray, rhs: np.ndarray, step=None):
+    """Check that every column of x solves K x = rhs to the backward-error tolerance.
+
+    ``norm_K`` is |K|_inf; a failure raises ``SolverError`` with ``step``. The
+    test is per column of an (n, k) block, so a column with a small right-hand
+    side cannot pass on the norm of the large ones. A CSR K gives the faster
+    product and needs no copy of a C-ordered x.
+    """
+    if not np.all(np.isfinite(x)):
+        raise SolverError("linear solve produced non-finite values", step)
+    r = K @ x
+    r -= rhs
+    nrhs, nx, res = _column_norms(rhs), _column_norms(x), _column_norms(r)
+    # backward-error criterion; reduces to res <= _RTOL*|rhs| for
+    # well-scaled right-hand sides and stays meaningful as rhs -> 0
+    bound = _RTOL * (nrhs + norm_K * nx)
+    fail = res > np.maximum(bound, 1e-300)
+    if np.any(fail):
+        raise SolverError(f"linear solve residual {np.max(res * fail):.3e} exceeds tolerance in "
+                          f"{np.count_nonzero(fail)} of {np.size(fail)} column(s)", step)
 
 
 class SPDFactor:
@@ -154,10 +213,7 @@ class SPDFactor:
     renumbered K in symmetric mode: one minimum-degree ordering of K^T + K
     permutes rows and columns alike, and the pivots stay on the diagonal,
     which a positive definite K allows. ``solve`` takes a dense (n,) or
-    (n, k) right-hand side and returns a C-ordered solution in the original
-    numbering. ``check``, which ``solve`` runs on every solution, multiplies
-    by the original K in CSR form, which is the faster product and needs no
-    copy of a C-ordered x.
+    (n, k) right-hand side and returns a checked C-ordered solution.
     """
 
     def __init__(self, K: sp.spmatrix):
@@ -178,27 +234,8 @@ class SPDFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         # the permuted rhs is freed when lu.solve returns, before the gather allocates x
         x = self.lu.solve(rhs[self._p])[self._p_inv]
-        self.check(x, rhs)
+        _check_residual(self.K, self._norm_K, x, rhs)
         return x
-
-    def check(self, x: np.ndarray, rhs: np.ndarray) -> None:
-        """Check that every column solves K x = rhs to the backward-error tolerance.
-
-        The test is per column of an (n, k) block, so a column with a small
-        right-hand side cannot pass on the norm of the large ones.
-        """
-        if not np.all(np.isfinite(x)):
-            raise SolverError("linear solve produced non-finite values")
-        r = self.K @ x
-        r -= rhs
-        nrhs, nx, res = _column_norms(rhs), _column_norms(x), _column_norms(r)
-        # backward-error criterion; reduces to res <= _RTOL*|rhs| for
-        # well-scaled right-hand sides and stays meaningful as rhs -> 0
-        bound = _RTOL * (nrhs + self._norm_K * nx)
-        fail = res > np.maximum(bound, 1e-300)
-        if np.any(fail):
-            raise SolverError(f"linear solve residual {np.max(res * fail):.3e} exceeds "
-                              f"tolerance in {np.count_nonzero(fail)} of {np.size(fail)} column(s)")
 
 
 def projection_P(chi):
@@ -206,7 +243,7 @@ def projection_P(chi):
     return np.minimum(np.maximum(chi, -1.0), 1.0)  # np.clip costs twice as much per call
 
 
-# columns of the contact response solved together by ``_contact_response``
+# columns of the contact response solved together, and nodes formed together
 _BLOCK = 16
 
 
@@ -215,10 +252,9 @@ def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
     """Z = K^-1 S^T diag(weights) (n x m), one guarded solve per block of columns.
 
     Given ``rows`` (e.g. the contact rows), only those rows of Z are kept.
-    The blocks bound the memory held beside Z: each block's right-hand side
-    is a dense n x _BLOCK array, and its solve and residual check hold three
-    n x _BLOCK arrays at once: the right-hand side and two of (its permuted
-    copy, SuperLU's output, x, the residual) (``SPDFactor.solve``).
+    The blocks bound the memory held beside Z: a block's solve and residual
+    check hold three dense n x _BLOCK arrays at once: the right-hand side
+    and two of (its permuted copy, SuperLU's output, x, the residual).
     """
     n, m = factor.K.shape[0], len(tangent_idx)
     keep = slice(None) if rows is None else rows
@@ -268,11 +304,10 @@ def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, M: np.ndarray, tangent_idx:
                   prev_tau: np.ndarray, lam: np.ndarray, step: float, eps: float, max_iter: int):
     """Array-level Uzawa loop on the m x m contact block.
 
-    With u_base = K^-1 F and Z = K^-1 S^T diag(g_a w), u = u_base - Z lambda
-    solves K u = F - c(lambda), c_i = g_a * w_i * lambda_i on the tangential
-    rows. The multiplier update reads only the contact rows u_tau, so the
-    loop runs on M = Z[tangent_idx], F-ordered so that M dlambda sums like
-    the contact rows of Z dlambda, and u_tau: each iteration sets
+    With u_base = K^-1 F, u = u_base - Z lambda solves K u = F - c(lambda).
+    The multiplier update reads only the contact rows u_tau, so the loop
+    runs on M = Z[tangent_idx], F-ordered so that M dlambda sums like the
+    contact rows of Z dlambda, and u_tau: each iteration sets
     lambda <- P(lambda + step * (u_tau - prev_tau)) and u_tau <- u_tau - M
     dlambda. It stops when the increment |Z dlambda|_inf over all n rows
     drops below eps. That norm is at least |M dlambda|_inf, so Z dlambda is
@@ -310,12 +345,11 @@ def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.
 
     ``u_base`` = K^-1 F(t_n), ``Z`` = K^-1 S^T diag(g_a h_e) and ``M`` =
     Z[contact rows] (F-ordered), both None without contact or friction: the
-    step is then u_base, with zero multipliers and one iteration. Returns
-    (u, multipliers, iterations).
-    From the multiplier ``lam`` in [-1, 1], each update adds ``step`` times
-    (u - u_prev)_tau, the paper's rho_tilde g_a (u - u_prev)_tau / k_n. The
-    iteration stops when the max-norm of successive displacement iterates
-    drops below cfg.eps.
+    step is then u_base, with zero multipliers and one iteration. From the
+    multiplier ``lam`` in [-1, 1], each update adds ``step`` times
+    (u - u_prev)_tau, the paper's rho_tilde g_a (u - u_prev)_tau / k_n, until
+    successive displacement iterates differ by less than cfg.eps in the
+    max-norm. Returns (u, multipliers, iterations).
     """
     space = system.space
     if Z is None:
@@ -327,30 +361,18 @@ def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.
 
 
 def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
-          cfg: UzawaConfig, log: Optional[Callable[[str], None]] = None,
-          keep_last: Optional[int] = None) -> TrajectorySolution:
+          cfg: UzawaConfig, log: Optional[Callable[[str], None]] = None) -> TrajectorySolution:
     """Backward-Euler marching over the whole time grid.
 
-    The march starts from rest, the multiplier step is the optimal one of
-    ``_optimal_step`` on the contact block M, and the multiplier is
-    warm-started from the previous step. A level costs one factorization,
-    one block solve per ``_BLOCK`` contact edges for the contact response Z
-    (skipped without contact or friction) and one two-column solve for the
-    responses U_0, U_1 to the affine load F(t) = F_0 + t F_1; M = Z[contact
-    rows] is formed once.
-
-    Only the displacements of the last ``keep_last`` nodes are stored (all
-    N+1 when None), as the step results themselves; the multipliers of
-    every node are. Once the time loop ends, each stored node n >= 1 is
-    checked against K u_n = F(t_n) - c(lambda_n) (``SPDFactor.check``).
-    Node 0 is not: the rest state solves no equation when F(0) != 0. A
-    step or check that fails raises with its ``step`` set.
+    The march starts from rest with the step of ``_optimal_step`` and warm-
+    starts each multiplier from the previous step. A level costs one
+    factorization, one block solve per ``_BLOCK`` contact edges for Z
+    (skipped without contact or friction) and one two-column solve for
+    U_0, U_1. A step's displacement serves the next step only: the
+    trajectory stores the multipliers. A failed step raises with ``step`` set.
     """
-    if keep_last is not None and not (isinstance(keep_last, numbers.Integral) and keep_last >= 1):
-        raise ValueError("keep_last must be None or an integer of at least 1")
     space = system.space
     u = CRFunction.zero(space)
-    kept = deque([u], maxlen=None if keep_last is None else int(keep_last))  # an int, not np.int64
     factor = SPDFactor(system.K)
     idx = space.contact_tangent_dof
     Z = M = step = None
@@ -361,30 +383,20 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
         step = _optimal_step(M, w)
     F_0 = assemble_load(space, loads, 0.0)
     F_1 = assemble_load(space, loads, 1.0) - F_0
-    U_0, U_1 = factor.solve(np.column_stack((F_0, F_1))).T.copy()  # contiguous rows
+    U = factor.solve(np.column_stack((F_0, F_1))).T.copy()  # contiguous rows U_0, U_1
 
     lam = np.zeros(len(idx))
-    multipliers = [lam]
-    iters = []
+    multipliers, iters = [lam], []
     for n, t_n in enumerate(grid.nodes[1:], start=1):
         try:
-            u, lam, it = uzawa_step_solve(system, U_0 + t_n * U_1, Z, M, u, lam, step, cfg)
+            u, lam, it = uzawa_step_solve(system, U[0] + t_n * U[1], Z, M, u, lam, step, cfg)
         except SolverError as exc:
             exc.step = n
             raise
-        kept.append(u)
         multipliers.append(lam)
         iters.append(it)
         if log is not None:
             log(f"step {n}: t={t_n:.6g} uzawa_iters={it}")
-    start = grid.N + 1 - len(kept)
-    for n, t_n, u in zip(range(start, grid.N + 1), grid.nodes[start:], kept):
-        if n == 0:
-            continue
-        try:
-            factor.check(u.coeffs, F_0 + t_n * F_1 - friction_rhs(space, loads.g_a, multipliers[n]))
-        except SolverError as exc:
-            exc.step = n
-            raise
-    return TrajectorySolution(grid=grid, displacements=list(kept), multipliers=multipliers,
-                              uzawa_iters=iters)
+    return TrajectorySolution(grid=grid, multipliers=multipliers, uzawa_iters=iters,
+                              space=space, K=factor.K, norm_K=factor._norm_K,
+                              g_a=loads.g_a, U=U, F=np.array((F_0, F_1)), Z=Z)

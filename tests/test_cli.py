@@ -26,7 +26,7 @@ from crcontact.cli import (
 from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel, Domain
 from crcontact import cli
-from crcontact.solver import SolverError, UzawaConfig, UzawaError, march
+from crcontact.solver import SolverError, UzawaConfig, UzawaError
 from crcontact.space import prolongation_matrix
 
 # the README's INI example, which writes out the example-5.1 preset in full
@@ -191,7 +191,10 @@ class TestConfigParsing:
         (dict(N=2.5), "study: need at least one time step and an integer N"),
         (dict(n=1.5), "study: n must be an integer"),
         (dict(levels=2.5), "study: levels must be an integer"),
-    ], ids=["N", "n", "levels"])
+        (dict(N=True), "study: need at least one time step and an integer N"),
+        (dict(n=True), "study: n must be an integer"),
+        (dict(levels=True), "study: levels must be an integer"),
+    ], ids=["N", "n", "levels", "N-bool", "n-bool", "levels-bool"])
     def test_rejects_non_integer_counts(self, change, named):
         with pytest.raises(ConfigError, match=named):
             dataclasses.replace(example_51_config(), **change)
@@ -269,29 +272,24 @@ class TestRunSingle:
             parts = [float(tok) for tok in ln.split()]
             assert len(parts) == 4
 
-    @pytest.mark.parametrize("level", [-1, 1.5, "1"], ids=["negative", "float", "string"])
+    @pytest.mark.parametrize("level", [-1, 1.5, "1", True, False],
+                             ids=["negative", "float", "string", "True", "False"])
     def test_rejects_level_that_is_not_a_nonnegative_integer(self, level):
         with pytest.raises(ConfigError, match="solve: level must be a nonnegative integer"):
             run_single(example_51_config(), level=level)
 
 
 class TestSolveLevel:
-    def test_error_mode_sets_the_kept_nodes(self):
-        # final mode keeps u_{N-1} and u_N, max mode every node; each kept
-        # node is bit-equal to the same node of an all-node march
+    def test_error_mode_does_not_reach_the_march(self):
+        # the mode decides which nodes the study reads, not what the march computes
         cfg = example_51_config()
         mesh = build_meshes(cfg, 2)[1]
-        _, system, final = solve_level(cfg, mesh, 1)
+        _, _, final = solve_level(cfg, mesh, 1)
         _, _, every = solve_level(dataclasses.replace(cfg, error_mode="max"), mesh, 1)
-        full = march(system, cfg.loads, final.grid, cfg.uzawa)
-        assert len(final.displacements) == 2
-        assert len(every.displacements) == len(full.displacements) == final.grid.N + 1 == 81
-        for traj in (final, every):
-            kept = full.displacements[-len(traj.displacements):]
-            assert all(np.array_equal(u.coeffs, v.coeffs)
-                       for u, v in zip(traj.displacements, kept, strict=True))
-            assert len(traj.multipliers) == final.grid.N + 1
-            assert traj.uzawa_iters == full.uzawa_iters
+        assert len(final.multipliers) == len(every.multipliers) == final.grid.N + 1 == 81
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(final.multipliers, every.multipliers, strict=True))
+        assert final.uzawa_iters == every.uzawa_iters
 
 
 @pytest.fixture(scope="module")
@@ -438,14 +436,14 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["solve", "study"])
     def test_failed_step_check_exit_2(self, monkeypatch, capsys, tmp_path, command):
-        # a wrong friction vector fails the check of node N - 1 = 39 at level
-        # 0, the first of the two nodes that final mode returns
+        # a wrong friction vector fails the check of node N = 40 at level 0,
+        # the one node that final mode reads
         monkeypatch.setattr("crcontact.solver.friction_rhs",
                             lambda space, g_a, lam: np.ones(space.n_dofs_free))
         assert main([command, "--config", write_ini(tmp_path, PRESET_INI)]) == 2
         err = capsys.readouterr().err
         assert "solver failure: " in err and "linear solve residual" in err
-        assert err.endswith("\n  at time step 39\n"), err
+        assert err.endswith("\n  at time step 40\n"), err
 
     @pytest.mark.parametrize("command", ["solve", "study"])
     def test_boundary_gap_exit_1(self, capsys, tmp_path, command):

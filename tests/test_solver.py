@@ -1,6 +1,9 @@
 """Time marching, Uzawa inner iteration and sparse SPD solves."""
 
+import collections.abc
 import dataclasses
+import gc
+import types
 
 import numpy as np
 import pytest
@@ -46,6 +49,11 @@ def random_spd(rng, n):
     return sp.csr_matrix(A @ A.T + n * np.eye(n))
 
 
+def check(factor, x, rhs):
+    """The residual check that ``factor.solve`` runs, on a given x."""
+    solver._check_residual(factor.K, factor._norm_K, x, rhs)
+
+
 class TestTimeGrid:
     def test_schedule(self):
         grid = TimeGrid(T=1.0, N=40)
@@ -59,7 +67,8 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(T=T, N=N)
 
-    @pytest.mark.parametrize("N", [2.5, 3.0, np.float64(3.0)], ids=["2.5", "3.0", "float64"])
+    @pytest.mark.parametrize("N", [2.5, 3.0, np.float64(3.0), True],
+                             ids=["2.5", "3.0", "float64", "bool"])
     def test_rejects_non_integer_step_count(self, N):
         with pytest.raises(ValueError, match="integer N"):
             TimeGrid(T=1.0, N=N)
@@ -85,8 +94,8 @@ class TestUzawaConfig:
         with pytest.raises(ValueError):
             UzawaConfig(**kw)
 
-    @pytest.mark.parametrize("max_iter", [2.5, 100.0, np.float64(100.0)],
-                             ids=["2.5", "100.0", "float64"])
+    @pytest.mark.parametrize("max_iter", [2.5, 100.0, np.float64(100.0), True],
+                             ids=["2.5", "100.0", "float64", "bool"])
     def test_rejects_non_integer_max_iter(self, max_iter):
         with pytest.raises(ValueError, match="integer max_iter"):
             UzawaConfig(max_iter=max_iter)
@@ -133,10 +142,10 @@ class TestSolveSPD:
         bad = x.copy()
         bad[3] *= 1.0 + 1e-6
         with pytest.raises(SolverError):
-            factor.check(bad, rhs)
+            check(factor, bad, rhs)
         bad[3] = np.nan
         with pytest.raises(SolverError):
-            factor.check(bad, rhs)
+            check(factor, bad, rhs)
 
     @staticmethod
     def scaled_block(seed):
@@ -151,7 +160,7 @@ class TestSolveSPD:
         bad = x.copy()
         bad[:, 0] *= 1.0 + 1e-6  # hidden under a Frobenius-norm test of the block
         with pytest.raises(SolverError):
-            factor.check(bad, rhs)
+            check(factor, bad, rhs)
 
     def test_check_rejects_perturbed_solution_under_sparse_rhs(self):
         factor, rhs = self.scaled_block(5)
@@ -160,7 +169,7 @@ class TestSolveSPD:
         bad = x.copy()
         bad[3, 0] *= 1.0 + 1e-6
         with pytest.raises(SolverError, match="in 1 of 20 column"):
-            factor.check(bad, rhs)
+            check(factor, bad, rhs)
 
     def test_block_solve_matches_columns(self):
         factor, rhs = self.scaled_block(3)
@@ -408,34 +417,79 @@ class TestMarch:
         assert len(traj.uzawa_iters) == 40
         assert len(traj.displacements) == 41
 
-    @pytest.mark.parametrize("keep", [1, 2, 11, 50, np.int64(2)], ids=["1", "2", "11", "50", "int64"])
-    def test_keep_last_stores_the_final_nodes(self, system2, config, keep):
-        grid = TimeGrid(T=1.0, N=10)
-        full = march(system2, config.loads, grid, UzawaConfig())
-        traj = march(system2, config.loads, grid, UzawaConfig(), keep_last=keep)
-        kept = full.displacements[-keep:]
-        assert len(traj.displacements) == len(kept) == min(keep, grid.N + 1)
-        assert all(np.array_equal(u.coeffs, v.coeffs)
-                   for u, v in zip(traj.displacements, kept, strict=True))
-        assert len(traj.multipliers) == grid.N + 1
-        assert traj.uzawa_iters == full.uzawa_iters
+    @pytest.mark.parametrize("change,level", [({}, 2), ({"g_a": STICK_G_A}, 1), (BODY_FORCE, 1),
+                                              ({"g_a": 0.0}, 1)],
+                             ids=["preset-L2", "stick-L1", "body-force-L1", "frictionless-L1"])
+    def test_nodes_are_the_step_results(self, monkeypatch, config, change, level):
+        # each node read, alone or while iterating in blocks, equals the
+        # displacement its step computed, which the march used to store: a
+        # product of Z with the read's multipliers forms the node where the
+        # step's stop test formed it in a two-column product
+        loads = dataclasses.replace(config.loads, **change)
+        step_solve, steps = solver.uzawa_step_solve, []
 
-    @pytest.mark.parametrize("keep", [0, -1, 2.0])
-    def test_keep_last_rejects_non_positive_or_non_integer(self, system2, config, keep):
-        with pytest.raises(ValueError, match="keep_last"):
-            march(system2, config.loads, TimeGrid(T=1.0, N=4), UzawaConfig(), keep_last=keep)
+        def recording(*args):
+            u, lam, it = step_solve(*args)
+            steps.append(u.coeffs)
+            return u, lam, it
+
+        monkeypatch.setattr(solver, "uzawa_step_solve", recording)
+        grid = TimeGrid(T=config.T, N=config.N * 2**level)
+        traj = march(level_system(config, level), loads, grid, config.uzawa)
+        nodes = traj.displacements
+        assert len(nodes) == len(steps) + 1 == grid.N + 1
+        assert np.all(nodes[0].coeffs == 0.0)
+        read = list(zip(nodes[1:], steps, strict=True))
+        read += [(nodes[n], steps[n - 1]) for n in (1, grid.N // 2, grid.N)]
+        read.append((traj.final, steps[-1]))
+        for u, ref in read:
+            assert np.max(np.abs(u.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_node_view_is_a_read_only_sequence(self, system2, config):
+        traj = march(system2, config.loads, TimeGrid(T=1.0, N=10), UzawaConfig())
+        nodes = traj.displacements
+        assert isinstance(nodes, collections.abc.Sequence)
+        evens = nodes[::2]
+        assert len(evens) == 6 and len(nodes[1:]) == 10
+        assert np.array_equal(evens[-1].coeffs, nodes[10].coeffs)
+        assert np.array_equal(nodes[-2].coeffs, nodes[9].coeffs)
+        with pytest.raises(IndexError):
+            nodes[11]
+        with pytest.raises(TypeError):
+            nodes[0] = nodes[1]
+
+    def test_trajectory_holds_no_factorization(self, config):
+        # every object reachable from the trajectory, short of types, modules and functions
+        traj = march(level_system(config, 1), config.loads, TimeGrid(T=1.0, N=8), UzawaConfig())
+        seen, todo, held = {id(traj)}, [traj], []
+        while todo:
+            for obj in gc.get_referents(todo.pop()):
+                if id(obj) not in seen and not isinstance(obj, (type, types.ModuleType,
+                                                                types.FunctionType)):
+                    seen.add(id(obj))
+                    todo.append(obj)
+                    held.append(obj)
+        assert any(obj is traj.Z for obj in held)
+        assert not any(isinstance(obj, (SPDFactor, spla.SuperLU)) for obj in held)
 
     def test_two_node_march_allocates_no_trajectory(self, config):
-        # L3: the all-node trajectory is 321 x 1552 doubles = 4.0 MB; a
-        # two-node march holds Z, the scratch of its block solve (three
-        # blocks at once, within the four allowed here) and a few node vectors
+        # L3, read as max mode reads it: every node, one at a time. The
+        # all-node trajectory is 321 x 1552 doubles = 4.0 MB; the march
+        # holds Z, the scratch of its block solve (three blocks at once,
+        # within the four allowed here) and a few node vectors, and the
+        # reads hold a block of _BLOCK nodes and one node's residual
         space = build_space(build_meshes(config, 4)[-1])
         system = assemble_stiffness(space, config.material, config.rho)
         grid = TimeGrid(T=config.T, N=config.N * 8)
         n, m = space.n_dofs_free, len(space.contact_tangent_dof)
         node, Z = 8 * n, 8 * n * m
-        _, peak = traced_peak(lambda: march(system, config.loads, grid, config.uzawa, keep_last=2))
-        assert (grid.N + 1, n) == (321, 1552)
+
+        def read_every_node():
+            traj = march(system, config.loads, grid, config.uzawa)
+            return sum(1 for _ in traj.displacements)
+
+        count, peak = traced_peak(read_every_node)
+        assert (count, n) == (grid.N + 1, 1552) == (321, 1552)
         assert peak <= Z + 4 * 8 * n * min(m, _BLOCK) + 24 * node, peak
 
     @pytest.mark.parametrize("level", [3, 4, 5])
@@ -527,9 +581,9 @@ class TestMarch:
 
 
 def spied_checks(monkeypatch):
-    """The multipliers that ``march``'s node checks read, in order.
+    """The multipliers that the checks of node reads use, in order.
 
-    Only the check of a returned node forms ``friction_rhs``.
+    Only the check of a node read forms ``friction_rhs``.
     """
     seen = []
 
@@ -542,7 +596,7 @@ def spied_checks(monkeypatch):
 
 
 class TestStepCertificate:
-    """Every node ``march`` returns, except the rest node 0, passes the explicit residual check."""
+    """Every node read from a trajectory, except the rest node 0, passes the explicit residual check."""
 
     @pytest.mark.parametrize("change,level,eps", [
         ({}, 0, None), ({}, 1, None), ({}, 2, None), ({}, 3, None),
@@ -570,35 +624,38 @@ class TestStepCertificate:
 
     @pytest.mark.parametrize("level", range(5))
     def test_every_preset_step_is_certified(self, monkeypatch, config, level):
-        # 40 + 80 + 160 + 320 + 640 = 1,240 steps, each returned node checked once
+        # 40 + 80 + 160 + 320 + 640 = 1,240 steps: the march checks none, and
+        # reading every node checks each of nodes 1..N once
         grid = TimeGrid(T=config.T, N=config.N * 2**level)
         seen = spied_checks(monkeypatch)
         traj = march(level_system(config, level), config.loads, grid, config.uzawa)
+        assert seen == []
+        assert sum(1 for _ in traj.displacements) == grid.N + 1
         assert len(seen) == grid.N
         assert all(a is b for a, b in zip(seen, traj.multipliers[1:], strict=True))
 
-    @pytest.mark.parametrize("keep_last,node", [(2, 80), (None, 37)], ids=["final", "max"])
-    def test_perturbed_node_names_its_step(self, monkeypatch, config, keep_last, node):
-        # L1, N = 80: one entry of one returned node scaled by 1 + 1e-6
-        step_solve, steps = solver.uzawa_step_solve, []
-
-        def perturbing(*args):
-            u, lam, it = step_solve(*args)
-            steps.append(u)
-            if len(steps) == node:
-                coeffs = u.coeffs.copy()
-                coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-6
-                u = CRFunction(u.space, coeffs)
-            return u, lam, it
-
-        monkeypatch.setattr(solver, "uzawa_step_solve", perturbing)
+    @pytest.mark.parametrize("array,middle", [("U_0", 40), ("Z", 37)], ids=["final", "max"])
+    def test_perturbed_node_names_its_step(self, config, array, middle):
+        # L1, N = 80, under a constant body force, so that U_0 != 0: one
+        # entry of U_0, or of the Z column of the largest multiplier at the
+        # middle node, scaled by 1 + 1e-6. Node N, which final mode reads,
+        # and the middle node, one of those max mode reads, both fail.
+        loads = dataclasses.replace(config.loads, **BODY_FORCE)
         grid = TimeGrid(T=config.T, N=config.N * 2)
-        with pytest.raises(SolverError, match="residual") as exc_info:
-            march(level_system(config, 1), config.loads, grid, config.uzawa, keep_last=keep_last)
-        assert (len(steps), exc_info.value.step) == (grid.N, node)
+        traj = march(level_system(config, 1), loads, grid, config.uzawa)
+        if array == "U_0":
+            data = traj.U[0]
+        else:
+            data = traj.Z[:, np.argmax(np.abs(traj.multipliers[middle]))]
+        data[np.argmax(np.abs(data))] *= 1.0 + 1e-6
+        for read, node in ((lambda: traj.final, grid.N),
+                           (lambda: traj.displacements[middle], middle)):
+            with pytest.raises(SolverError, match="residual") as exc_info:
+                read()
+            assert exc_info.value.step == node
 
     def test_rest_node_is_not_checked(self, monkeypatch, config):
-        # a constant body force: u_0 = 0 does not solve K u = F(0), and the march passes
+        # a constant body force: u_0 = 0 does not solve K u = F(0), and reading it passes
         loads = dataclasses.replace(config.loads, **BODY_FORCE)
         system = level_system(config, 1)
         grid = TimeGrid(T=config.T, N=config.N * 2)
@@ -606,15 +663,19 @@ class TestStepCertificate:
         traj = march(system, loads, grid, config.uzawa)
         assert np.any(assemble_load(system.space, loads, 0.0) != 0.0)
         assert np.all(traj.displacements[0].coeffs == 0.0)
-        assert len(seen) == grid.N
+        assert seen == []
+        traj.displacements[1]
+        assert len(seen) == 1
 
     def test_failed_step_check_names_step(self, monkeypatch, system2, config):
-        # a wrong friction vector fails the check of node 1, the first node returned
+        # a wrong friction vector passes the march and fails the check of each node read
         monkeypatch.setattr(solver, "friction_rhs",
                             lambda space, g_a, lam: np.ones(space.n_dofs_free))
-        with pytest.raises(SolverError, match="residual") as exc_info:
-            march(system2, config.loads, TimeGrid(T=1.0, N=5), UzawaConfig())
-        assert exc_info.value.step == 1
+        traj = march(system2, config.loads, TimeGrid(T=1.0, N=5), UzawaConfig())
+        for n in (1, 5):
+            with pytest.raises(SolverError, match="residual") as exc_info:
+                traj.displacements[n]
+            assert exc_info.value.step == n
 
 
 def n_space_march(system, loads, grid, cfg):
@@ -688,7 +749,7 @@ class TestTimeRate:
         the same differences, and its cause is not yet known.
         """
         loads = dataclasses.replace(config.loads, **BODY_FORCE)
-        config = dataclasses.replace(config, loads=loads, error_mode="max",  # every node
+        config = dataclasses.replace(config, loads=loads,
                                      uzawa=UzawaConfig(eps=1e-12, max_iter=100000))
         mesh = build_meshes(config, 3)[-1]
         runs = [solve_level(dataclasses.replace(config, N=N), mesh, 0) for N in (40, 80, 160, 320)]
