@@ -13,6 +13,7 @@ import configparser
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +30,14 @@ from crcontact.mesh import (
     generate_structured,
     refine_uniform,
 )
-from crcontact.solver import SolverError, TimeGrid, UzawaConfig, UzawaError, is_integer, march
+from crcontact.solver import (
+    SolverError,
+    TimeGrid,
+    UzawaConfig,
+    UzawaError,
+    is_integer,
+    march,
+)
 from crcontact.space import CRFunction, build_space, prolongation_matrix
 
 
@@ -225,7 +233,8 @@ def solve_level(config: ProblemConfig, mesh: Mesh, level: int,
     space = build_space(mesh)
     system = assemble_stiffness(space, config.material, config.rho)
     grid = TimeGrid(T=config.T, N=config.N * 2**level)
-    return space, system, march(system, config.loads, grid, config.uzawa, log=log)
+    traj = march(system, config.loads, grid, config.uzawa, log=log)
+    return space, system, traj
 
 
 def run_single(config: ProblemConfig, level: int = 0,
@@ -256,6 +265,16 @@ def run_single(config: ProblemConfig, level: int = 0,
     return summary
 
 
+@contextmanager
+def _at_level(level: int):
+    """Prefix the message of a solver failure inside the block with its level."""
+    try:
+        yield
+    except SolverError as exc:
+        exc.args = (f"level {level}: {exc}",) + exc.args[1:]
+        raise
+
+
 def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRow]:
     """Solve all levels and compute inter-mesh energy-norm errors.
 
@@ -268,13 +287,10 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
     previous = None  # the previous level's displacements at the nodes it shares
     rows: list[ConvergenceRow] = []
     for level, mesh in enumerate(meshes):
-        try:
+        with _at_level(level):
             space, _, traj = solve_level(config, mesh, level, log=log)
             # u_N, or a view that forms and checks each node when it is read
             nodes = traj.displacements if config.error_mode == "max" else [traj.final]
-        except SolverError as exc:
-            exc.args = (f"level {level}: {exc}",) + exc.args[1:]
-            raise
         grid = traj.grid
         del traj  # in final mode, nothing of the march outlives u_N
         error = order = None
@@ -282,8 +298,13 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
             # the fine grid has twice the steps: its even nodes are the coarse ones
             P = prolongation_matrix(previous[0].space, space)
             norm = EnergyNormEvaluator(space, config.material, config.rho)
-            error = max(norm(CRFunction(space, P @ uc.coeffs) - uf)
-                        for uc, uf in zip(previous, nodes[::2], strict=True))
+            error = 0.0
+            for i in range(len(previous)):  # a read checks its node: name the node's level
+                with _at_level(level - 1):
+                    uc = previous[i]
+                with _at_level(level):
+                    uf = nodes[2 * i]
+                error = max(error, norm(CRFunction(space, P @ uc.coeffs) - uf))
             if rows[-1].error:
                 order = float(np.log2(rows[-1].error / error))
         previous = nodes

@@ -11,14 +11,19 @@ DOFs and mu the eigenvalues of the contact block M below. The paper's step
 rho_tilde g_a / k_n is s: j is positively homogeneous, so k_n cancels, and
 s depends on neither k_n nor the load, so one s serves every step of a
 level. The iteration runs in contact space. Once per level, ``march``
-factors K and computes the contact response Z = K^-1 S^T diag(g_a h_e)
-(the Delassus operator of nonsmooth contact dynamics) and the responses
-U_0, U_1 to the load at t = 0 and to its slope, since every load is affine
-in t: F(t) = F_0 + t F_1. A step iterates on the m x m contact block
-M = S Z and the contact rows of b - Z lambda, b = U_0 + t_n U_1: no sparse
-solve per step or iteration, and no n-row work per iteration
-(``uzawa_iterate``). The march stores the multipliers, not the nodes
-u_n = b - Z lambda_n (``TrajectorySolution``).
+factors K (SuperLU in symmetric mode, after a bandwidth-reducing
+renumbering) and computes the contact response
+Z = K^-1 S^T diag(g_a h_e) (the Delassus operator of nonsmooth contact
+dynamics, solved in blocks of contact edges) and, in one two-column solve,
+the responses U_0, U_1 to the load at t = 0 and to its slope, since every
+load is affine in t: F(t) = F_0 + t F_1. With b = U_0 + t_n U_1, a step
+iterates on the m x m contact block M = S Z and the contact rows
+u_tau = (b - Z lambda)_tau, updating u_tau <- u_tau - M (lambda_new - lambda):
+no sparse solve per step or iteration, and no n-row work per iteration.
+The stopping test |Z dlambda|_inf < eps still reads all n rows; it is
+evaluated only once |M dlambda|_inf < eps, since the first bounds the
+second, and u = b - Z lambda is formed in that same pass over Z, once per
+step.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from crcontact.assembly import DiscreteSystem, LoadSpec, assemble_load, friction_rhs
-from crcontact.space import CRFunction, CRSpace
+from crcontact.space import CRFunction
 
 
 class SolverError(RuntimeError):
@@ -115,14 +120,13 @@ class TrajectorySolution:
     Z lambda_n (Z is None without contact or friction) and checks it against
     K u_n = F_0 + t_n F_1 - c(lambda_n), one product with K; a failure raises
     ``SolverError`` with ``step = n``. Node 0, the rest state, is zero and
-    unchecked. Iteration forms ``_BLOCK`` nodes at once; none is stored or cached.
+    unchecked. No node is stored or cached: that would bring back the storage.
     """
 
     grid: TimeGrid
     multipliers: list  # multiplier array per node (zeros at node 0)
     uzawa_iters: list  # inner iteration count per step 1..N
-    space: CRSpace
-    K: sp.csr_matrix
+    system: DiscreteSystem
     norm_K: float  # |K|_inf, for the residual check
     g_a: float
     U: np.ndarray  # rows U_0, U_1
@@ -138,17 +142,16 @@ class TrajectorySolution:
     def final(self) -> CRFunction:
         return self.displacements[-1]
 
-    def _nodes(self, index: Sequence):
-        """Yield nodes ``index``, formed in one product with Z and checked one at a time."""
-        t, lams = self.grid.nodes[index], [self.multipliers[n] for n in index]
-        u = self.U[0] + t[:, None] * self.U[1]  # a node per row
+    def _node(self, n: int) -> CRFunction:
+        if n == 0:  # the rest state, which solves no equation when F(0) != 0
+            return CRFunction.zero(self.system.space)
+        t_n, lam = self.grid.nodes[n], self.multipliers[n]
+        u = self.U[0] + t_n * self.U[1]
         if self.Z is not None:
-            u -= np.array(lams) @ self.Z.T
-        for n, t_n, u_n, lam in zip(index, t, u, lams):
-            if n:  # node 0 is the rest state, which solves no equation when F(0) != 0
-                rhs = self.F[0] + t_n * self.F[1] - friction_rhs(self.space, self.g_a, lam)
-                _check_residual(self.K, self.norm_K, u_n, rhs, step=n)
-            yield CRFunction(self.space, u_n if n else np.zeros_like(u_n))
+            u -= self.Z @ lam
+        rhs = self.F[0] + t_n * self.F[1] - friction_rhs(self.system.space, self.g_a, lam)
+        _check_residual(self.system.K, self.norm_K, u, rhs, step=n)
+        return CRFunction(self.system.space, u)
 
 
 class _Nodes(Sequence):
@@ -163,12 +166,7 @@ class _Nodes(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return _Nodes(self._traj, self._index[i])
-        return next(self._traj._nodes([self._index[i]]))
-
-    def __iter__(self):
-        # a block of nodes reads Z once: at L6, 1.7 ms a node against 7.6 ms alone
-        for j in range(0, len(self._index), _BLOCK):
-            yield from self._traj._nodes(self._index[j:j + _BLOCK])
+        return self._traj._node(self._index[i])
 
 
 _RTOL = 1e-12  # backward-error tolerance of every checked solve
@@ -213,7 +211,8 @@ class SPDFactor:
     renumbered K in symmetric mode: one minimum-degree ordering of K^T + K
     permutes rows and columns alike, and the pivots stay on the diagonal,
     which a positive definite K allows. ``solve`` takes a dense (n,) or
-    (n, k) right-hand side and returns a checked C-ordered solution.
+    (n, k) right-hand side and returns a C-ordered solution in the original
+    numbering, checked by ``_check_residual``.
     """
 
     def __init__(self, K: sp.spmatrix):
@@ -243,7 +242,7 @@ def projection_P(chi):
     return np.minimum(np.maximum(chi, -1.0), 1.0)  # np.clip costs twice as much per call
 
 
-# columns of the contact response solved together, and nodes formed together
+# columns of the contact response solved together by ``_contact_response``
 _BLOCK = 16
 
 
@@ -252,9 +251,10 @@ def _contact_response(factor: SPDFactor, tangent_idx: np.ndarray,
     """Z = K^-1 S^T diag(weights) (n x m), one guarded solve per block of columns.
 
     Given ``rows`` (e.g. the contact rows), only those rows of Z are kept.
-    The blocks bound the memory held beside Z: a block's solve and residual
-    check hold three dense n x _BLOCK arrays at once: the right-hand side
-    and two of (its permuted copy, SuperLU's output, x, the residual).
+    The blocks bound the memory held beside Z: each block's right-hand side
+    is a dense n x _BLOCK array, and its solve and residual check hold three
+    n x _BLOCK arrays at once: the right-hand side and two of (its permuted
+    copy, SuperLU's output, x, the residual) (``SPDFactor.solve``).
     """
     n, m = factor.K.shape[0], len(tangent_idx)
     keep = slice(None) if rows is None else rows
@@ -304,10 +304,11 @@ def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, M: np.ndarray, tangent_idx:
                   prev_tau: np.ndarray, lam: np.ndarray, step: float, eps: float, max_iter: int):
     """Array-level Uzawa loop on the m x m contact block.
 
-    With u_base = K^-1 F, u = u_base - Z lambda solves K u = F - c(lambda).
-    The multiplier update reads only the contact rows u_tau, so the loop
-    runs on M = Z[tangent_idx], F-ordered so that M dlambda sums like the
-    contact rows of Z dlambda, and u_tau: each iteration sets
+    With u_base = K^-1 F and Z = K^-1 S^T diag(g_a w), u = u_base - Z lambda
+    solves K u = F - c(lambda), c_i = g_a * w_i * lambda_i on the tangential
+    rows. The multiplier update reads only the contact rows u_tau, so the
+    loop runs on M = Z[tangent_idx], F-ordered so that M dlambda sums like
+    the contact rows of Z dlambda, and u_tau: each iteration sets
     lambda <- P(lambda + step * (u_tau - prev_tau)) and u_tau <- u_tau - M
     dlambda. It stops when the increment |Z dlambda|_inf over all n rows
     drops below eps. That norm is at least |M dlambda|_inf, so Z dlambda is
@@ -345,11 +346,12 @@ def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.
 
     ``u_base`` = K^-1 F(t_n), ``Z`` = K^-1 S^T diag(g_a h_e) and ``M`` =
     Z[contact rows] (F-ordered), both None without contact or friction: the
-    step is then u_base, with zero multipliers and one iteration. From the
-    multiplier ``lam`` in [-1, 1], each update adds ``step`` times
-    (u - u_prev)_tau, the paper's rho_tilde g_a (u - u_prev)_tau / k_n, until
-    successive displacement iterates differ by less than cfg.eps in the
-    max-norm. Returns (u, multipliers, iterations).
+    step is then u_base, with zero multipliers and one iteration. Returns
+    (u, multipliers, iterations).
+    From the multiplier ``lam`` in [-1, 1], each update adds ``step`` times
+    (u - u_prev)_tau, the paper's rho_tilde g_a (u - u_prev)_tau / k_n. The
+    iteration stops when the max-norm of successive displacement iterates
+    drops below cfg.eps.
     """
     space = system.space
     if Z is None:
@@ -364,12 +366,17 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
           cfg: UzawaConfig, log: Optional[Callable[[str], None]] = None) -> TrajectorySolution:
     """Backward-Euler marching over the whole time grid.
 
-    The march starts from rest with the step of ``_optimal_step`` and warm-
-    starts each multiplier from the previous step. A level costs one
-    factorization, one block solve per ``_BLOCK`` contact edges for Z
-    (skipped without contact or friction) and one two-column solve for
-    U_0, U_1. A step's displacement serves the next step only: the
-    trajectory stores the multipliers. A failed step raises with ``step`` set.
+    The march starts from rest, the multiplier step is the optimal one of
+    ``_optimal_step`` on the contact block M, and the multiplier is
+    warm-started from the previous step. A level costs one factorization,
+    one block solve per ``_BLOCK`` contact edges for the contact response Z
+    (skipped without contact or friction) and one two-column solve for the
+    responses U_0, U_1 to the affine load F(t) = F_0 + t F_1; M = Z[contact
+    rows] is formed once.
+
+    A step's displacement serves the next step only: the trajectory stores
+    every node's multiplier and forms a node when it is read. A step that
+    fails raises with its ``step`` set.
     """
     space = system.space
     u = CRFunction.zero(space)
@@ -386,7 +393,8 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     U = factor.solve(np.column_stack((F_0, F_1))).T.copy()  # contiguous rows U_0, U_1
 
     lam = np.zeros(len(idx))
-    multipliers, iters = [lam], []
+    multipliers = [lam]
+    iters = []
     for n, t_n in enumerate(grid.nodes[1:], start=1):
         try:
             u, lam, it = uzawa_step_solve(system, U[0] + t_n * U[1], Z, M, u, lam, step, cfg)
@@ -398,5 +406,5 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
         if log is not None:
             log(f"step {n}: t={t_n:.6g} uzawa_iters={it}")
     return TrajectorySolution(grid=grid, multipliers=multipliers, uzawa_iters=iters,
-                              space=space, K=factor.K, norm_K=factor._norm_K,
+                              system=system, norm_K=factor._norm_K,
                               g_a=loads.g_a, U=U, F=np.array((F_0, F_1)), Z=Z)

@@ -25,7 +25,7 @@ from crcontact.cli import (
 )
 from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel, Domain
-from crcontact import cli
+from crcontact import cli, solver
 from crcontact.solver import SolverError, UzawaConfig, UzawaError
 from crcontact.space import prolongation_matrix
 
@@ -434,16 +434,29 @@ class TestMain:
         tail = err.split("last increments:")[1].split(",")
         assert len(tail) == 5 and all(float(x) > 0 for x in tail)
 
-    @pytest.mark.parametrize("command", ["solve", "study"])
-    def test_failed_step_check_exit_2(self, monkeypatch, capsys, tmp_path, command):
-        # a wrong friction vector fails the check of node N = 40 at level 0,
-        # the one node that final mode reads
-        monkeypatch.setattr("crcontact.solver.friction_rhs",
-                            lambda space, g_a, lam: np.ones(space.n_dofs_free))
-        assert main([command, "--config", write_ini(tmp_path, PRESET_INI)]) == 2
+    @pytest.mark.parametrize("command,mode,wrong_on,level,step", [
+        ("solve", "final", "every", 0, 40), ("study", "final", "every", 0, 40),
+        ("study", "max", "every", 0, 1), ("study", "max", "refined", 1, 2)],
+        ids=["solve", "study", "study-max", "study-max-fine"])
+    def test_failed_step_check_exit_2(self, monkeypatch, capsys, tmp_path, command, mode,
+                                      wrong_on, level, step):
+        # a wrong friction vector fails the first node read: node N = 40 at
+        # level 0, the one node that final mode reads; in max mode, node 1
+        # of level 0, or node 2 of level 1 when only refined meshes are wrong
+        friction_rhs = solver.friction_rhs
+
+        def wrong(space, g_a, lam):
+            if wrong_on == "every" or space.mesh.parent_mesh is not None:
+                return np.ones(space.n_dofs_free)
+            return friction_rhs(space, g_a, lam)
+
+        monkeypatch.setattr(solver, "friction_rhs", wrong)
+        text = PRESET_INI.replace("# error_mode = final", f"error_mode = {mode}")
+        assert main([command, "--config", write_ini(tmp_path, text)]) == 2
         err = capsys.readouterr().err
-        assert "solver failure: " in err and "linear solve residual" in err
-        assert err.endswith("\n  at time step 40\n"), err
+        prefix = "" if command == "solve" else f"level {level}: "
+        assert f"solver failure: {prefix}linear solve residual" in err, err
+        assert err.endswith(f"\n  at time step {step}\n"), err
 
     @pytest.mark.parametrize("command", ["solve", "study"])
     def test_boundary_gap_exit_1(self, capsys, tmp_path, command):

@@ -421,9 +421,9 @@ class TestMarch:
                                               ({"g_a": 0.0}, 1)],
                              ids=["preset-L2", "stick-L1", "body-force-L1", "frictionless-L1"])
     def test_nodes_are_the_step_results(self, monkeypatch, config, change, level):
-        # each node read, alone or while iterating in blocks, equals the
+        # each node read, by index or while iterating, equals the
         # displacement its step computed, which the march used to store: a
-        # product of Z with the read's multipliers forms the node where the
+        # product of Z with the node's multipliers forms the node where the
         # step's stop test formed it in a two-column product
         loads = dataclasses.replace(config.loads, **change)
         step_solve, steps = solver.uzawa_step_solve, []
@@ -476,8 +476,8 @@ class TestMarch:
         # L3, read as max mode reads it: every node, one at a time. The
         # all-node trajectory is 321 x 1552 doubles = 4.0 MB; the march
         # holds Z, the scratch of its block solve (three blocks at once,
-        # within the four allowed here) and a few node vectors, and the
-        # reads hold a block of _BLOCK nodes and one node's residual
+        # within the four allowed here) and a few node vectors, and a read
+        # holds one node and its residual
         space = build_space(build_meshes(config, 4)[-1])
         system = assemble_stiffness(space, config.material, config.rho)
         grid = TimeGrid(T=config.T, N=config.N * 8)
