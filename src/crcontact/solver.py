@@ -22,8 +22,8 @@ u_tau = (b - Z lambda)_tau, updating u_tau <- u_tau - M (lambda_new - lambda):
 no sparse solve per step or iteration, and no n-row work per iteration.
 The stopping test |Z dlambda|_inf < eps still reads all n rows; it is
 evaluated only once |M dlambda|_inf < eps, since the first bounds the
-second, and u = b - Z lambda is formed in that same pass over Z, once per
-step.
+second. A step forms no displacement: the next step needs only lambda and
+u_tau = b_tau - M lambda, and the trajectory forms a node when it is read.
 """
 
 from __future__ import annotations
@@ -58,13 +58,12 @@ class SolverError(RuntimeError):
 class UzawaError(SolverError):
     """Raised when the inner Uzawa iteration exceeds its iteration cap.
 
-    Carries the last iterates (``last_u``, ``last_lam``, as arrays) and the
-    increment ``history``.
+    Carries the last multiplier iterate ``last_lam`` and the increment
+    ``history``.
     """
 
-    def __init__(self, message, last_u=None, last_lam=None, history=None):
+    def __init__(self, message, last_lam=None, history=None):
         super().__init__(message)
-        self.last_u = last_u
         self.last_lam = last_lam
         self.history = history
 
@@ -300,25 +299,26 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float, factor: SPD
     return k_n / g_a * _optimal_step(_contact_response(factor, idx, w, rows=idx), w)
 
 
-def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, M: np.ndarray, tangent_idx: np.ndarray,
-                  prev_tau: np.ndarray, lam: np.ndarray, step: float, eps: float, max_iter: int):
+def uzawa_iterate(b_tau: np.ndarray, Z: np.ndarray, M: np.ndarray, prev_tau: np.ndarray,
+                  lam: np.ndarray, step: float, eps: float, max_iter: int):
     """Array-level Uzawa loop on the m x m contact block.
 
     With u_base = K^-1 F and Z = K^-1 S^T diag(g_a w), u = u_base - Z lambda
     solves K u = F - c(lambda), c_i = g_a * w_i * lambda_i on the tangential
     rows. The multiplier update reads only the contact rows u_tau, so the
-    loop runs on M = Z[tangent_idx], F-ordered so that M dlambda sums like
-    the contact rows of Z dlambda, and u_tau: each iteration sets
-    lambda <- P(lambda + step * (u_tau - prev_tau)) and u_tau <- u_tau - M
-    dlambda. It stops when the increment |Z dlambda|_inf over all n rows
-    drops below eps. That norm is at least |M dlambda|_inf, so Z dlambda is
-    formed only once |M dlambda|_inf < eps, together with Z lambda in one
-    two-column product; u = u_base - Z lambda is formed on stopping (or
-    failing). ``history`` holds |M dlambda|_inf per iteration, and
-    |Z dlambda|_inf at those candidates. Starts from ``lam``, which must lie
-    in [-1, 1]. Returns (u, lambda, iterations, history).
+    loop runs on b_tau = u_base[contact rows], M = Z[contact rows],
+    F-ordered so that M dlambda sums like the contact rows of Z dlambda, and
+    u_tau: each iteration sets lambda <- P(lambda + step * (u_tau -
+    prev_tau)) and u_tau <- u_tau - M dlambda. It stops when the increment
+    |Z dlambda|_inf over all n rows drops below eps. That norm is at least
+    |M dlambda|_inf, so Z dlambda is formed only once |M dlambda|_inf < eps.
+    ``history`` holds |M dlambda|_inf per iteration, and |Z dlambda|_inf at
+    those candidates. Starts from ``lam``, which must lie in [-1, 1].
+    Returns (u_tau, lambda, iterations, history), with u_tau = b_tau - M
+    lambda formed afresh on stopping: the contact rows of the node that the
+    trajectory forms from lambda.
     """
-    u_tau = u_base[tangent_idx] - M @ lam
+    u_tau = b_tau - M @ lam
     history = []
     for it in range(1, max_iter + 1):
         lam_new = projection_P(lam + step * (u_tau - prev_tau))
@@ -328,38 +328,34 @@ def uzawa_iterate(u_base: np.ndarray, Z: np.ndarray, M: np.ndarray, tangent_idx:
         lam = lam_new
         incr = float(np.abs(du_tau).max())
         if incr < eps:  # a stop candidate: the n rows decide
-            du, z_lam = (Z @ np.column_stack((dlam, lam))).T
-            incr = float(np.abs(du).max())
+            incr = float(np.abs(Z @ dlam).max())
         history.append(incr)
         if incr < eps:
-            return u_base - z_lam, lam, it, history
+            return b_tau - M @ lam, lam, it, history
     raise UzawaError(
         f"Uzawa iteration failed to converge within {max_iter} iterations "
-        f"(last increment {history[-1]:.3e})",
-        last_u=u_base - Z @ lam, last_lam=lam, history=history)
+        f"(last increment {history[-1]:.3e})", last_lam=lam, history=history)
 
 
-def uzawa_step_solve(system: DiscreteSystem, u_base: np.ndarray, Z: Optional[np.ndarray],
-                     M: Optional[np.ndarray], u_prev: CRFunction, lam: np.ndarray,
-                     step: Optional[float], cfg: UzawaConfig):
+def uzawa_step_solve(b_tau: np.ndarray, Z: Optional[np.ndarray], M: Optional[np.ndarray],
+                     prev_tau: np.ndarray, lam: np.ndarray, step: Optional[float],
+                     cfg: UzawaConfig):
     """One backward-Euler step solved by the Uzawa fixed-point iteration.
 
-    ``u_base`` = K^-1 F(t_n), ``Z`` = K^-1 S^T diag(g_a h_e) and ``M`` =
-    Z[contact rows] (F-ordered), both None without contact or friction: the
-    step is then u_base, with zero multipliers and one iteration. Returns
-    (u, multipliers, iterations).
+    ``b_tau`` holds the contact rows of K^-1 F(t_n), ``Z`` = K^-1 S^T
+    diag(g_a h_e) and ``M`` = Z[contact rows] (F-ordered), both None without
+    contact or friction: the step then returns b_tau and ``lam`` unchanged,
+    with one iteration. Returns (u_tau, multipliers, iterations), u_tau the
+    contact rows of the step's displacement.
     From the multiplier ``lam`` in [-1, 1], each update adds ``step`` times
-    (u - u_prev)_tau, the paper's rho_tilde g_a (u - u_prev)_tau / k_n. The
-    iteration stops when the max-norm of successive displacement iterates
-    drops below cfg.eps.
+    (u - u_prev)_tau, the paper's rho_tilde g_a (u - u_prev)_tau / k_n, with
+    ``prev_tau`` = (u_prev)_tau. The iteration stops when the max-norm of
+    successive displacement iterates drops below cfg.eps.
     """
-    space = system.space
     if Z is None:
-        return CRFunction(space, u_base), np.zeros(len(space.contact_edges)), 1
-    idx = space.contact_tangent_dof
-    u, lam, it, _ = uzawa_iterate(u_base, Z, M, idx, u_prev.coeffs[idx], lam, step,
-                                  cfg.eps, cfg.max_iter)
-    return CRFunction(space, u), lam, it
+        return b_tau, lam, 1
+    u_tau, lam, it, _ = uzawa_iterate(b_tau, Z, M, prev_tau, lam, step, cfg.eps, cfg.max_iter)
+    return u_tau, lam, it
 
 
 def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
@@ -374,12 +370,12 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     responses U_0, U_1 to the affine load F(t) = F_0 + t F_1; M = Z[contact
     rows] is formed once.
 
-    A step's displacement serves the next step only: the trajectory stores
-    every node's multiplier and forms a node when it is read. A step that
-    fails raises with its ``step`` set.
+    A step forms no displacement: it hands the next step its multiplier and
+    the contact rows u_tau = b_tau - M lambda of its node, where b = U_0 +
+    t_n U_1; the trajectory stores every node's multiplier and forms a node
+    when it is read. A step that fails raises with its ``step`` set.
     """
     space = system.space
-    u = CRFunction.zero(space)
     factor = SPDFactor(system.K)
     idx = space.contact_tangent_dof
     Z = M = step = None
@@ -392,12 +388,14 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     F_1 = assemble_load(space, loads, 1.0) - F_0
     U = factor.solve(np.column_stack((F_0, F_1))).T.copy()  # contiguous rows U_0, U_1
 
-    lam = np.zeros(len(idx))
+    U_tau = U[:, idx]
+    lam = u_tau = np.zeros(len(idx))  # the rest state
     multipliers = [lam]
     iters = []
     for n, t_n in enumerate(grid.nodes[1:], start=1):
         try:
-            u, lam, it = uzawa_step_solve(system, U[0] + t_n * U[1], Z, M, u, lam, step, cfg)
+            u_tau, lam, it = uzawa_step_solve(U_tau[0] + t_n * U_tau[1], Z, M, u_tau, lam,
+                                              step, cfg)
         except SolverError as exc:
             exc.step = n
             raise

@@ -87,10 +87,11 @@ def contact_setup(factor, idx, weights):
 
 
 def step_from_load(system, load, u_prev, cfg, g_a, factor=None, step=None):
-    """``uzawa_step_solve`` on a load vector, set up as ``march`` does it.
+    """``uzawa_step_solve`` on a load vector, set up as ``march`` does it: (u, lambda, iterations).
 
-    Passes u_base = K^-1 load, the contact response Z, its contact block M,
-    zero multipliers and, unless given, the computed step.
+    Passes the contact rows of u_base = K^-1 load, the contact response Z,
+    its contact block M, zero multipliers and, unless given, the computed
+    step, and forms u = u_base - Z lambda as the trajectory forms a node.
     """
     factor = SPDFactor(system.K) if factor is None else factor
     space = system.space
@@ -99,8 +100,12 @@ def step_from_load(system, load, u_prev, cfg, g_a, factor=None, step=None):
     if g_a and len(idx):
         Z, M, optimal = contact_setup(factor, idx, g_a * space.contact_edge_lengths)
         step = optimal if step is None else step
-    return uzawa_step_solve(system, factor.solve(load), Z, M, u_prev, np.zeros(len(idx)),
-                            step, cfg)
+    u = factor.solve(load)
+    _, lam, it = uzawa_step_solve(u[idx], Z, M, u_prev.coeffs[idx], np.zeros(len(idx)),
+                                  step, cfg)
+    if Z is not None:
+        u -= Z @ lam
+    return CRFunction(space, u), lam, it
 
 
 def random_tresca_problems():
