@@ -211,7 +211,9 @@ class SPDFactor:
     permutes rows and columns alike, and the pivots stay on the diagonal,
     which a positive definite K allows. ``solve`` takes a dense (n,) or
     (n, k) right-hand side and returns a C-ordered solution in the original
-    numbering, checked by ``_check_residual``.
+    numbering, checked by ``_check_residual``. The check's |K|_inf is taken
+    before the renumbering and the factorization, so that its |K| temporary
+    is freed before SuperLU allocates L and U rather than held beside them.
     """
 
     def __init__(self, K: sp.spmatrix):
@@ -219,6 +221,7 @@ class SPDFactor:
         n = self.K.shape[0]
         if self.K.shape != (n, n):
             raise ValueError("can only factor square matrices")
+        self._norm_K = spla.norm(self.K, np.inf) if self.K.nnz else 0.0
         # reverse_cuthill_mckee raises on an empty graph
         p = self._p = reverse_cuthill_mckee(self.K, symmetric_mode=True) if n else np.arange(0)
         self._p_inv = np.argsort(p)
@@ -227,7 +230,6 @@ class SPDFactor:
                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:  # singular factorization
             raise SolverError(f"factorization failed: {exc}") from exc
-        self._norm_K = spla.norm(self.K, np.inf) if self.K.nnz else 0.0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         # the permuted rhs is freed when lu.solve returns, before the gather allocates x

@@ -64,16 +64,23 @@ def sparse_from_local(rows, cols, vals, shape) -> sp.csr_matrix:
     """CSR matrix from broadcast local triplets, summing repeats; a -1 row or column is dropped.
 
     A free-DOF vector is the one column ``sparse_from_local(dofs, 0, vals, (n, 1))``.
-    The indices are cast to int32 before broadcasting, so the kept triplets
-    are the only copy and scipy keeps their indices as given; they stay in
-    input order, which fixes the order in which repeats are summed.
+    The indices are cast to int32 before broadcasting, and a dropped triplet
+    is sent to column 0 of one spare row, cut off after ``tocsr``, so no
+    triplet is copied out by a mask: contiguous ``vals`` reach scipy as a
+    view. Every kept row receives its triplets in input order, as the only
+    entries of that row, which fixes the order in which repeats are summed.
+    A repeat sum that cancels stays as an explicit zero: SuperLU's minimum
+    degree ordering makes use of those entries (``assemble_stiffness``).
     """
     rows, cols, vals = np.broadcast_arrays(np.asarray(rows, dtype=np.int32),
                                            np.asarray(cols, dtype=np.int32), vals)
-    keep = (rows >= 0) & (cols >= 0)
-    coo = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
-    del keep  # not held while tocsr sums the repeats
-    return coo.tocsr()
+    n = shape[0]
+    drop = (rows < 0) | (cols < 0)
+    rows, cols = np.where(drop, n, rows).ravel(), np.where(drop, 0, cols).ravel()
+    del drop  # not held while tocsr sums the repeats
+    A = sp.coo_matrix((vals.reshape(-1), (rows, cols)), shape=(n + 1, shape[1])).tocsr()
+    nnz = A.indptr[n]
+    return sp.csr_matrix((A.data[:nnz], A.indices[:nnz], A.indptr[:n + 1]), shape=shape)
 
 
 class CRSpace:

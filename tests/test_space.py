@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import crcontact
 from crcontact.analysis import EnergyNormEvaluator, broken_h1_seminorm_error
@@ -26,6 +27,7 @@ from crcontact.space import (
     interpolate_cr,
     prolongate,
     prolongation_matrix,
+    sparse_from_local,
 )
 from conftest import field_at, random_cr
 
@@ -382,6 +384,34 @@ class TestProlongation:
     def test_rejects_non_nested(self, space2, space4):
         with pytest.raises(ValueError):
             prolongation_matrix(space2, space4)
+
+
+_RNG = np.random.default_rng(5)
+
+
+@pytest.mark.parametrize("rows, cols, vals, shape", [
+    # as prolongation_matrix and EnergyNormEvaluator: (cell, 1, 1, 2) rows
+    # against (cell, 3, 4, 1) columns, values broadcast over the rows' last
+    # axis; many repeats per entry, and -1 among both rows and columns
+    (_RNG.integers(-1, 7, size=(40, 1, 1, 2)), _RNG.integers(-1, 5, size=(40, 3, 4, 1)),
+     _RNG.standard_normal((40, 3, 4, 1)), (7, 5)),
+    # a free-DOF vector: the one column (n, 1), the column index a scalar 0
+    (_RNG.integers(-1, 9, size=(30, 3, 2)), 0, _RNG.standard_normal((30, 3, 2)), (9, 1)),
+    # row 2 has triplets but keeps none of them, or no row keeps any
+    ([0, 2, 2, 2, 1, 2], [1, -1, -1, -1, 0, -1], np.arange(1.0, 7.0), (3, 2)),
+    ([-1, 2, 2, 2, -1, 2], [1, -1, -1, -1, 0, -1], np.arange(1.0, 7.0), (3, 2)),
+], ids=["rectangular-broadcast", "vector", "row-all-dropped", "every-triplet-dropped"])
+def test_sparse_from_local_equals_the_masked_scatter(rows, cols, vals, shape):
+    # the dropped triplets go to a spare row that is cut off; every kept row
+    # sees its triplets in input order, so the repeat sums equal those of the
+    # kept triplets copied out by a mask, bit for bit
+    r, c, v = np.broadcast_arrays(np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32), vals)
+    keep = (r >= 0) & (c >= 0)
+    want = sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=shape).tocsr()
+    got = sparse_from_local(rows, cols, vals, shape)
+    assert got.shape == shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestCRFunction:
