@@ -284,7 +284,7 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
     if config.levels < 2:
         raise ConfigError("study: need at least 2 levels for a convergence study")
     meshes = _build("domain", build_meshes, config, config.levels)
-    previous = None  # the previous level's displacements at the nodes it shares
+    previous = None  # the previous level's space, and its displacements at the nodes it shares
     rows: list[ConvergenceRow] = []
     for level, mesh in enumerate(meshes):
         with _at_level(level):
@@ -296,18 +296,19 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
         error = order = None
         if previous is not None:
             # the fine grid has twice the steps: its even nodes are the coarse ones
-            P = prolongation_matrix(previous[0].space, space)
+            coarse_space, coarse = previous
+            P = prolongation_matrix(coarse_space, space)
             norm = EnergyNormEvaluator(space, config.material, config.rho)
             error = 0.0
-            for i in range(len(previous)):  # a read checks its node: name the node's level
+            for i in range(len(coarse)):  # a read checks its node: name the node's level
                 with _at_level(level - 1):
-                    uc = previous[i]
+                    uc = coarse[i]
                 with _at_level(level):
                     uf = nodes[2 * i]
                 error = max(error, norm(CRFunction(space, P @ uc.coeffs) - uf))
             if rows[-1].error:
                 order = float(np.log2(rows[-1].error / error))
-        previous = nodes
+        previous = space, nodes
         rows.append(ConvergenceRow(N=grid.N, h=1.0 / (config.n * 2**level), k=grid.k,
                                    dof=space.n_dofs_reported, error=error, order=order))
     return rows
@@ -337,17 +338,6 @@ def format_table(rows: list[ConvergenceRow]) -> str:
 
 # -- entry point -------------------------------------------------------------
 
-def _config_from_args(args) -> ProblemConfig:
-    # not an argparse exclusive group: argparse exits 2, the solver-failure code
-    if args.preset is not None and args.config is not None:
-        raise ConfigError("give --config or --preset, not both")
-    if args.preset is not None:
-        return PRESETS[args.preset]()
-    if args.config is None:
-        raise ConfigError("either --config or --preset is required")
-    return load_config(args.config)
-
-
 def _check_writable(path: Optional[str]) -> None:
     """Raise ConfigError unless path can be opened for writing; leave no file behind."""
     if path is None:
@@ -361,14 +351,22 @@ def _check_writable(path: Optional[str]) -> None:
         os.remove(path)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a bad command line with ConfigError, which main reports with exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crcontact",
         description="CR finite element solver for quasi-static Tresca contact")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config")
-    common.add_argument("--preset", choices=sorted(PRESETS))
+    source = common.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--preset", choices=sorted(PRESETS))
     common.add_argument("--verbose", action="store_true")
 
     p_solve = sub.add_parser("solve", parents=[common], help="run a single level")
@@ -378,11 +376,10 @@ def main(argv=None) -> int:
     p_study = sub.add_parser("study", parents=[common], help="run a refinement study")
     p_study.add_argument("--out", default=None)
 
-    args = parser.parse_args(argv)
-    log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
-
     try:
-        config = _config_from_args(args)
+        args = parser.parse_args(argv)
+        log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
+        config = PRESETS[args.preset]() if args.preset else load_config(args.config)
         # before the solve, not after it: an output path fails fast
         _check_writable(args.dump_fields if args.command == "solve" else args.out)
         if args.command == "solve":

@@ -29,6 +29,7 @@ u_tau = b_tau - M lambda, and the trajectory forms a node when it is read.
 from __future__ import annotations
 
 import numbers
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -135,7 +136,7 @@ class TrajectorySolution:
     @property
     def displacements(self) -> Sequence:
         """Read-only view of nodes 0..N; each read forms and checks its node."""
-        return _Nodes(self, range(self.grid.N + 1))
+        return _Nodes(self)
 
     @property
     def final(self) -> CRFunction:
@@ -154,18 +155,16 @@ class TrajectorySolution:
 
 
 class _Nodes(Sequence):
-    """The nodes of a trajectory at the indices ``index`` (a range); slices stay views."""
+    """The nodes 0..N of a trajectory, read by integer index."""
 
-    def __init__(self, traj: TrajectorySolution, index: range):
-        self._traj, self._index = traj, index
+    def __init__(self, traj: TrajectorySolution):
+        self._traj = traj
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._traj.grid.N + 1
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Nodes(self._traj, self._index[i])
-        return self._traj._node(self._index[i])
+    def __getitem__(self, n: int) -> CRFunction:
+        return self._traj._node(range(len(self))[operator.index(n)])
 
 
 _RTOL = 1e-12  # backward-error tolerance of every checked solve
