@@ -289,8 +289,8 @@ def run_convergence_study(config: ProblemConfig, log=None) -> list[ConvergenceRo
     for level, mesh in enumerate(meshes):
         with _at_level(level):
             space, _, traj = solve_level(config, mesh, level, log=log)
-            # u_N, or a view that forms and checks each node when it is read
-            nodes = traj.displacements if config.error_mode == "max" else [traj.final]
+            # u_N, or the trajectory, which forms and checks each node when it is read
+            nodes = traj if config.error_mode == "max" else [traj.final]
         grid = traj.grid
         del traj  # in final mode, nothing of the march outlives u_N
         error = order = None

@@ -113,14 +113,17 @@ class UzawaConfig:
 
 
 @dataclass
-class TrajectorySolution:
-    """Fully-discrete solution: every node's multiplier, and what forms its displacement.
+class TrajectorySolution(Sequence):
+    """Fully-discrete solution: the read-only sequence of its nodes 0..N.
 
-    Reading node n (``displacements[n]``, ``final``) forms u_n = U_0 + t_n U_1 -
+    It keeps every node's multiplier and what forms its displacement.
+    Reading node n (``traj[n]``, ``final``) forms u_n = U_0 + t_n U_1 -
     Z lambda_n (Z is None without contact or friction) and checks it against
     K u_n = F_0 + t_n F_1 - c(lambda_n), one product with K; a failure raises
     ``SolverError`` with ``step = n``. Node 0, the rest state, is zero and
-    unchecked. No node is stored or cached: that would bring back the storage.
+    unchecked. Nodes are read by integer index, negative ones counting from
+    N. No node is stored or cached: that would bring back the storage.
+    ``displacements`` is the trajectory itself, kept for ``perfbench/``.
     """
 
     grid: TimeGrid
@@ -134,15 +137,18 @@ class TrajectorySolution:
     Z: Optional[np.ndarray]
 
     @property
-    def displacements(self) -> Sequence:
-        """Read-only view of nodes 0..N; each read forms and checks its node."""
-        return _Nodes(self)
+    def displacements(self) -> TrajectorySolution:
+        return self
 
     @property
     def final(self) -> CRFunction:
-        return self.displacements[-1]
+        return self[-1]
 
-    def _node(self, n: int) -> CRFunction:
+    def __len__(self) -> int:
+        return self.grid.N + 1
+
+    def __getitem__(self, n: int) -> CRFunction:
+        n = range(len(self))[operator.index(n)]
         if n == 0:  # the rest state, which solves no equation when F(0) != 0
             return CRFunction.zero(self.system.space)
         t_n, lam = self.grid.nodes[n], self.multipliers[n]
@@ -152,19 +158,6 @@ class TrajectorySolution:
         rhs = self.F[0] + t_n * self.F[1] - friction_rhs(self.system.space, self.g_a, lam)
         _check_residual(self.system.K, self.norm_K, u, rhs, step=n)
         return CRFunction(self.system.space, u)
-
-
-class _Nodes(Sequence):
-    """The nodes 0..N of a trajectory, read by integer index."""
-
-    def __init__(self, traj: TrajectorySolution):
-        self._traj = traj
-
-    def __len__(self) -> int:
-        return self._traj.grid.N + 1
-
-    def __getitem__(self, n: int) -> CRFunction:
-        return self._traj._node(range(len(self))[operator.index(n)])
 
 
 _RTOL = 1e-12  # backward-error tolerance of every checked solve

@@ -448,17 +448,17 @@ class TestMarch:
 
     def test_node_view_is_a_read_only_sequence(self, system2, config):
         traj = march(system2, config.loads, TimeGrid(T=1.0, N=10), UzawaConfig())
-        nodes = traj.displacements
-        assert isinstance(nodes, collections.abc.Sequence)
-        assert len(nodes) == 11
-        assert np.array_equal(nodes[-1].coeffs, nodes[10].coeffs)
-        assert np.array_equal(nodes[-2].coeffs, nodes[9].coeffs)
+        assert isinstance(traj, collections.abc.Sequence)
+        assert len(traj) == 11
+        assert traj.displacements is traj
+        assert np.array_equal(traj[-1].coeffs, traj[10].coeffs)
+        assert np.array_equal(traj[-2].coeffs, traj[9].coeffs)
         with pytest.raises(TypeError):
-            nodes[::2]
+            traj[::2]
         with pytest.raises(IndexError):
-            nodes[11]
+            traj[11]
         with pytest.raises(TypeError):
-            nodes[0] = nodes[1]
+            traj[0] = traj[1]
 
     def test_trajectory_holds_no_factorization(self, config):
         # every object reachable from the trajectory, short of types, modules and functions
@@ -598,7 +598,7 @@ def spied_checks(monkeypatch):
     return seen
 
 
-class TestStepCertificate:
+class TestNodeCheck:
     """Every node read from a trajectory, except the rest node 0, passes the explicit residual check."""
 
     @pytest.mark.parametrize("change,level,eps", [
@@ -608,7 +608,7 @@ class TestStepCertificate:
         (BODY_FORCE, 2, 1e-12),
     ], ids=["preset-L0", "preset-L1", "preset-L2", "preset-L3",
             "stick-L0", "stick-L1", "stick-L2", "body-force-L2"])
-    def test_bound_covers_explicit_residual(self, config, change, level, eps):
+    def test_nodes_pass_the_check_with_a_thousandfold_margin(self, config, change, level, eps):
         # each node passes the check's backward-error bound with a thousandfold margin
         loads = dataclasses.replace(config.loads, **change)
         cfg = config.uzawa if eps is None else UzawaConfig(eps=eps, max_iter=100000)
@@ -626,7 +626,7 @@ class TestStepCertificate:
             assert np.linalg.norm(K @ u.coeffs - rhs) <= 1e-3 * bound
 
     @pytest.mark.parametrize("level", range(5))
-    def test_every_preset_step_is_certified(self, monkeypatch, config, level):
+    def test_each_read_checks_its_node_once(self, monkeypatch, config, level):
         # 40 + 80 + 160 + 320 + 640 = 1,240 steps: the march checks none, and
         # reading every node checks each of nodes 1..N once
         grid = TimeGrid(T=config.T, N=config.N * 2**level)
