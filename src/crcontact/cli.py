@@ -82,6 +82,8 @@ class ProblemConfig:
         for side in self.loads.g_sides or ():
             if side not in neumann:
                 problems.append(f"loads: traction side {side!r} has no neumann segment")
+        if self.loads.g_sides is None and np.any(self.loads.g_coeffs) and not neumann:
+            problems.append("loads: a traction is set but no side has a neumann segment")
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -9,17 +9,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Isotropic material with both engineering and Lame parameters.
+    """Isotropic material by its 2D Lame pair; ``from_engineering`` builds it.
 
-    ``plane`` selects the 2D reduction: 'strain' keeps the 3D Lame lambda,
-    'stress' replaces it by 2*lam*mu/(lam + 2*mu).
+    The ``plane`` it takes selects the 2D reduction: 'strain' keeps the 3D
+    Lame lambda, 'stress' replaces it by 2*lam*mu/(lam + 2*mu).
     """
 
-    E: float
-    nu: float
     lam: float
     mu: float
-    plane: str = "strain"
 
     @classmethod
     def from_engineering(cls, E: float, nu: float, plane: str = "strain") -> "MaterialModel":
@@ -33,7 +30,7 @@ class MaterialModel:
         lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
         if plane == "stress":
             lam = 2.0 * lam * mu / (lam + 2.0 * mu)
-        return cls(E=E, nu=nu, lam=lam, mu=mu, plane=plane)
+        return cls(lam=lam, mu=mu)
 
     def dmatrix(self) -> np.ndarray:
         """3x3 constitutive matrix in Voigt form (engineering shear)."""

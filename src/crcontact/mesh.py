@@ -234,7 +234,7 @@ class Mesh:
         return len(self.edges)
 
     def boundary_side(self, e):
-        """Which rectangle side boundary edge(s) e lie on: a name, or an array of names."""
+        """Which rectangle side boundary edge(s) e lie on: an array of names, 0-d for one edge."""
         e = np.asarray(e)
         if np.any(interior := self.edge_tris[e, 1] >= 0):
             raise ValueError(f"edges at {self._at(e[interior])} are interior")
@@ -245,8 +245,7 @@ class Mesh:
                    np.abs(my - dom.y_min) <= tol, np.abs(my - dom.y_max) <= tol]
         if np.any(off := ~np.any(on_side, axis=0)):
             raise ValueError(f"boundary edges at {self._at(e[off])} are not on the rectangle boundary")
-        side = np.select(on_side, SIDES, default="")
-        return str(side) if side.ndim == 0 else side
+        return np.select(on_side, SIDES, default="")
 
 
 def generate_structured(domain: Domain, n: int) -> Mesh:

@@ -284,11 +284,11 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float, factor: SPD
     The iteration matrix is I - s M with M = S K^-1 S^T W the tangential
     contact Schur complement (S selects tangential contact DOFs, W =
     diag(g_a h_e)); s = 2 / (min eig M + max eig M) minimizes its spectral
-    radius. Returns 1 without contact or friction.
+    radius. Raises ValueError without contact or friction, where it is undefined.
     """
     idx = system.space.contact_tangent_dof
     if len(idx) == 0 or g_a == 0.0:
-        return 1.0
+        raise ValueError("rho_tilde = k_n s / g_a needs contact edges and g_a > 0")
     w = g_a * system.space.contact_edge_lengths
     return k_n / g_a * _optimal_step(_contact_response(factor, idx, w, rows=idx), w)
 

@@ -91,7 +91,7 @@ class CRSpace:
     mesh : Mesh
     edge_dofs : (ne, 2) int array mapping edge, component -> free DOF index,
         -1 when the component is eliminated (Dirichlet edge, or contact normal)
-    dof_x, dof_y : (ne,) its two columns
+    dof_x : (ne,) its first column, the x components
     local_dofs : (nt, 3, 2) ``edge_dofs`` per triangle / local edge / comp
     contact_edges : indices of contact edges
     contact_tangent_dof : free DOF of the tangential component per contact edge
@@ -117,11 +117,11 @@ class CRSpace:
         first = np.cumsum(count) - count
         edge_dofs = np.where(count[:, None] == 2, first[:, None] + np.arange(2), -1)
         edge_dofs[contact, 1 - horizontal] = first[contact]  # the tangential component
-        edge_dofs.setflags(write=False)  # and so its views dof_x, dof_y
+        edge_dofs.setflags(write=False)  # and so its view dof_x
 
         self.mesh = mesh
         self.edge_dofs = edge_dofs
-        self.dof_x, self.dof_y = edge_dofs.T
+        self.dof_x = edge_dofs[:, 0]
         self.n_dofs_free = int(count.sum())
         n_dirichlet = int(np.count_nonzero(labels == BoundaryLabel.DIRICHLET))
         self.n_dofs_reported = 2 * (mesh.n_edges - n_dirichlet)

@@ -19,10 +19,10 @@ from crcontact.assembly import (
 from crcontact.cli import build_meshes
 from crcontact.material import MaterialModel
 from crcontact.mesh import BoundaryLabel, generate_structured, refine_uniform
-from crcontact.space import CRFunction, build_space, cr_gradients, interpolate_cr
+from crcontact.space import CRFunction, build_space, cr_gradients, interpolate_cr, sparse_from_local
 from conftest import random_cr, traced_peak
 
-UNIT_MAT = MaterialModel(E=1.0, nu=0.0, lam=1.0, mu=1.0)
+UNIT_MAT = MaterialModel(lam=1.0, mu=1.0)
 
 
 def _oracle_element_matrix(coords, mat):
@@ -139,7 +139,7 @@ class TestStiffness:
             tris = [t for t in mesh2.edge_tris[e] if t >= 0]
             if any(touches_corrupted(t) for t in tris):
                 continue
-            for d in (space2.dof_x[e], space2.dof_y[e]):
+            for d in space2.edge_dofs[e]:
                 if d >= 0:
                     assert abs(Kv[d]) <= 1e-13 * scale
                     checked += 1
@@ -406,7 +406,9 @@ def test_scattered_vectors_equal_direct_formulas(config, level):
         return (np.sin(x) * y, np.exp(-x * y))
 
     assert np.array_equal(interpolate_cr(v, space).coeffs, _direct_interpolation(v, space))
+    # friction_rhs skips the scatter, since each contact edge has its own
+    # tangential DOF and nothing is summed; it must still give the scatter's vector
     lam = np.random.default_rng(level).uniform(-1.0, 1.0, len(space.contact_edges))
-    want = np.zeros(space.n_dofs_free)
-    want[space.contact_tangent_dof] = 0.0012 * space.contact_edge_lengths * lam
-    assert np.array_equal(friction_rhs(space, 0.0012, lam), want)
+    vals = 0.0012 * space.contact_edge_lengths * lam
+    want = sparse_from_local(space.contact_tangent_dof, 0, vals, (space.n_dofs_free, 1))
+    assert np.array_equal(friction_rhs(space, 0.0012, lam), want.toarray().ravel())

@@ -177,6 +177,19 @@ class TestConfigParsing:
         assert main(["study", "--config", ini]) == 1
         assert f"config error: loads: traction side '{side}'" in capsys.readouterr().err
 
+    def test_traction_without_neumann_side_exit_1(self, tmp_path, capsys):
+        # with g_sides unset the traction falls on every neumann side, here none
+        clamped = SIDE_KEYS.replace("neumann", "dirichlet")
+        text = PRESET_INI.replace(SIDE_KEYS, clamped).replace("g_sides = left\n", "")
+        ini = write_ini(tmp_path, text)
+        with pytest.raises(ConfigError, match="loads: a traction is set but no side"):
+            load_config(ini)
+        assert main(["solve", "--config", ini]) == 1
+        assert "config error: loads" in capsys.readouterr().err
+        # a body force needs no neumann side
+        body = text.replace("gx = 0.1 0 -0.02\ngy = -0.01 0 0", "f = 0.1 -0.01")
+        assert load_config(write_ini(tmp_path, body)).loads.f == (0.1, -0.01)
+
     def test_no_dirichlet_side(self, tmp_path):
         text = PRESET_INI.replace("right = dirichlet", "right = neumann")
         with pytest.raises(ConfigError, match="domain"):

@@ -297,8 +297,16 @@ class TestStableRhoTilde:
         assert r1 > 0
         assert r2 == pytest.approx(0.5 * r1, rel=1e-12)
 
-    def test_trivial_without_contact(self, system2):
-        assert stable_rho_tilde(system2, 0.0, 0.025, SPDFactor(system2.K)) == 1.0
+    def test_undefined_without_contact_or_friction(self, system2, config):
+        with pytest.raises(ValueError, match="needs contact edges and g_a > 0"):
+            stable_rho_tilde(system2, 0.0, 0.025, SPDFactor(system2.K))
+        domain = Domain.rectangle(0.0, 4.0, 0.0, 4.0, left=BoundaryLabel.NEUMANN,
+                                  right=BoundaryLabel.DIRICHLET, bottom=BoundaryLabel.NEUMANN,
+                                  top=BoundaryLabel.NEUMANN)
+        system = assemble_stiffness(build_space(generate_structured(domain, 2)),
+                                    config.material, config.rho)
+        with pytest.raises(ValueError, match="needs contact edges and g_a > 0"):
+            stable_rho_tilde(system, config.loads.g_a, 0.025, SPDFactor(system.K))
 
     def test_is_the_step_march_uses(self, monkeypatch, config):
         # the setup workload times stable_rho_tilde in place of march's own step

@@ -68,8 +68,7 @@ class TestDofLayout:
 
     def test_dirichlet_edges_carry_no_dofs(self, mesh2, space2):
         for e in np.nonzero(mesh2.edge_labels == BoundaryLabel.DIRICHLET)[0]:
-            assert space2.dof_x[e] == -1
-            assert space2.dof_y[e] == -1
+            assert np.all(space2.edge_dofs[e] == -1)
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_edge_order_of_dofs_and_adjacency(self, domain, level):
@@ -81,7 +80,7 @@ class TestDofLayout:
         # ordinary edge, one (the tangential) per contact edge
         nxt = 0
         for e, lab in enumerate(mesh.edge_labels):
-            dofs = [d for d in (space.dof_x[e], space.dof_y[e]) if d >= 0]
+            dofs = [d for d in space.edge_dofs[e] if d >= 0]
             want = {BoundaryLabel.DIRICHLET: 0, BoundaryLabel.CONTACT: 1}.get(lab, 2)
             assert dofs == list(range(nxt, nxt + want))
             nxt += want
@@ -110,9 +109,9 @@ class TestDofLayout:
         assert np.all(dofs[contact, tangent] >= 0) and np.all(dofs[contact, 1 - tangent] == -1)
         other = ~(dirichlet | contact)
         assert np.all(dofs[other, 0] >= 0) and np.all(dofs[other, 1] == dofs[other, 0] + 1)
-        assert np.array_equal(np.stack([space.dof_x, space.dof_y], axis=1), dofs)
+        assert np.array_equal(space.dof_x, dofs[:, 0])
         assert np.array_equal(space.local_dofs, dofs[mesh.tri_edges])
-        for arr in (space.edge_dofs, space.dof_x, space.dof_y, space.local_dofs):
+        for arr in (space.edge_dofs, space.dof_x, space.local_dofs):
             assert not arr.flags.writeable
 
     def test_rejects_oblique_contact_edges(self):
@@ -129,7 +128,7 @@ class TestDofLayout:
         # the bottom side runs along x: x is tangential, y the constrained normal
         e = space2.contact_edges
         assert np.all(space2.dof_x[e] >= 0)
-        assert np.all(space2.dof_y[e] == -1)
+        assert np.all(space2.edge_dofs[e, 1] == -1)
         assert np.array_equal(space2.contact_tangent_dof, space2.dof_x[e])
 
 
@@ -250,7 +249,7 @@ class TestInterpolation:
         for e in range(mesh4.n_edges):
             pts = space4.edge_gauss_points(e)
             mean = 0.5 * (np.asarray(v(*pts[0])) + np.asarray(v(*pts[1])))
-            for comp, dof in enumerate((space4.dof_x[e], space4.dof_y[e])):
+            for comp, dof in enumerate(space4.edge_dofs[e]):
                 if dof >= 0:
                     want[dof] = mean[comp]
         assert np.array_equal(interpolate_cr(v, space4).coeffs, want)
