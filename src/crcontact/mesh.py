@@ -109,8 +109,10 @@ class Mesh:
     ----------
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counterclockwise
-    edges : (ne, 2) int array, each row sorted
-    edge_tris : (ne, 2) int array of adjacent triangles, -1 when absent
+    edges : (ne, 2) int array, each row sorted; rows ascend by their (low,
+        high) vertex pair, the order of the CR DOF numbering
+    edge_tris : (ne, 2) int array of adjacent triangles, -1 when absent; an
+        edge's triangles come in (local edge, triangle) order
     tri_edges : (nt, 3) int array; entry j is the edge opposite local vertex j
     edge_labels : (ne,) int array of BoundaryLabel values
     midpoints : (ne, 2) edge midpoints
@@ -129,6 +131,8 @@ class Mesh:
             raise ValueError("vertices must be an (nv, 2) array")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must be an (nt, 3) array")
+        if triangles.size and not 0 <= triangles.min() <= triangles.max() < len(vertices):
+            raise ValueError(f"triangle vertex indices must lie in [0, {len(vertices)})")
 
         self.vertices = vertices
         self.triangles = triangles
@@ -155,30 +159,24 @@ class Mesh:
     def _build_edges(self):
         t = self.triangles
         nt = len(t)
-        # edge j of triangle is opposite local vertex j
-        raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-        raw_sorted = np.sort(raw, axis=1)
-        edges, inv = np.unique(raw_sorted, axis=0, return_inverse=True)
-        inv = inv.ravel()
-        ne = len(edges)
-        tri_edges = inv.reshape(3, nt).T
+        # row j * nt + i is edge j of triangle i, opposite local vertex j
+        raw = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]), axis=1)
+        # keys ascend as the (low, high) pairs do; unique keeps each key's first row
+        key = raw[:, 0] * self.n_vertices + raw[:, 1]
+        _, first, inv, counts = np.unique(key, return_index=True, return_inverse=True,
+                                          return_counts=True)
+        edges = raw[first]
 
         self.midpoints = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
-        # adjacent triangles of each edge in (local edge, triangle) order
-        counts = np.bincount(inv, minlength=ne)
         if np.any(counts > 2):
             raise ValueError(f"edge at {self._at(np.argmax(counts > 2))} shared by more than "
                              "two triangles")
-        tris = np.argsort(inv, kind="stable") % nt
-        start = np.cumsum(counts) - counts
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        edge_tris[:, 0] = tris[start]
-        second = counts == 2
-        edge_tris[second, 1] = tris[start[second] + 1]
+        # adjacent triangles of each edge: those of its first and last rows
+        last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
 
         self.edges = edges
-        self.tri_edges = tri_edges
-        self.edge_tris = edge_tris
+        self.tri_edges = inv.reshape(3, nt).T
+        self.edge_tris = np.column_stack([first % nt, np.where(counts == 2, last % nt, -1)])
         dv = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         self.edge_lengths = np.hypot(dv[:, 0], dv[:, 1])
 

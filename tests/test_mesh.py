@@ -33,6 +33,25 @@ def _all_neumann_ish_domain():
     return Domain(0.0, 4.0, 0.0, 4.0, segs)
 
 
+def _topology_oracle(triangles):
+    """edges, tri_edges and edge_tris from a dict over the rows, row j * nt + i being
+    edge j (opposite local vertex j) of triangle i."""
+    nt = len(triangles)
+
+    def side(i, j):  # edge j of triangle i as its sorted vertex pair
+        return tuple(sorted(int(v) for k, v in enumerate(triangles[i]) if k != j))
+
+    tris_of = {}  # sorted vertex pair -> its triangles, in row order
+    for j in range(3):
+        for i in range(nt):
+            tris_of.setdefault(side(i, j), []).append(i)
+    edges = sorted(tris_of)
+    index = {pair: e for e, pair in enumerate(edges)}
+    tri_edges = [[index[side(i, j)] for j in range(3)] for i in range(nt)]
+    edge_tris = [tris_of[pair] + [-1] * (2 - len(tris_of[pair])) for pair in edges]
+    return edges, tri_edges, edge_tris
+
+
 class TestDomain:
     def test_rejects_empty_extent(self):
         # the extent is checked before the zero-width bottom and top segments
@@ -153,6 +172,9 @@ class TestGenerateStructured:
     @pytest.mark.parametrize("vertices,triangles,message", [
         ([0.0, 1.0, 2.0], [[0, 1, 2]], r"vertices must be an \(nv, 2\) array"),
         ([[0, 0], [1, 0], [0, 1]], [0, 1, 2], r"triangles must be an \(nt, 3\) array"),
+        # numpy would read -1 as vertex 2, the same vertex under a second name
+        ([[0, 0], [4, 0], [0, 4]], [[0, 1, -1]], r"^triangle vertex indices must lie in \[0, 3\)$"),
+        ([[0, 0], [4, 0], [0, 4]], [[0, 1, 3]], r"^triangle vertex indices must lie in \[0, 3\)$"),
         # three counterclockwise triangles on the edge (0, 0)-(1, 0)
         ([[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, -1]], [[0, 1, 2], [0, 1, 3], [1, 0, 4]],
          r"^edge at \(0\.5, 0\.0\) shared by more than two triangles$"),
@@ -160,7 +182,8 @@ class TestGenerateStructured:
         # are boundary edges of the mesh but not of the domain
         ([[0, 0], [2, 0], [2, 2], [0, 2]], [[0, 1, 2], [0, 2, 3]],
          r"boundary edges at \(2\.0, 1\.0\), \(1\.0, 2\.0\) are not on the rectangle boundary$"),
-    ], ids=["vertex-shape", "triangle-shape", "edge-in-three-triangles", "off-boundary"])
+    ], ids=["vertex-shape", "triangle-shape", "negative-index", "index-past-end",
+            "edge-in-three-triangles", "off-boundary"])
     def test_rejects_bad_triangulation(self, domain, vertices, triangles, message):
         with pytest.raises(ValueError, match=message):
             Mesh(vertices, triangles, domain)
@@ -197,6 +220,40 @@ class TestGenerateStructured:
         for i in range(len(mids)):
             d = np.hypot(*(mids[i + 1:] - mids[i]).T)
             assert np.all(d > tol)
+
+
+class TestEdgeTopology:
+    """The edge order is the CR DOF numbering: edges ascend by their (low, high)
+    vertex pair, and an edge's triangles come in (local edge, triangle) order."""
+
+    @staticmethod
+    def _assert_matches_oracle(mesh):
+        edges, tri_edges, edge_tris = _topology_oracle(mesh.triangles)
+        assert mesh.edges.tolist() == [list(pair) for pair in edges]
+        assert mesh.tri_edges.tolist() == tri_edges
+        assert mesh.edge_tris.tolist() == edge_tris
+
+    @pytest.mark.parametrize("refinements", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_structured_and_refined_match_oracle(self, domain, n, refinements):
+        mesh = generate_structured(domain, n)
+        for _ in range(refinements):
+            mesh = refine_uniform(mesh)
+        self._assert_matches_oracle(mesh)
+
+    def test_out_of_order_triangles_match_oracle(self, domain):
+        # the 2 x 2 grid of [0, 4]^2, vertex 3j + i at (2i, 2j), its triangles
+        # listed out of order with rotated corners and square (0, 0) split
+        # along its other diagonal
+        vertices = [[2 * i, 2 * j] for j in range(3) for i in range(3)]
+        triangles = [[8, 4, 5], [7, 4, 8], [6, 3, 7], [4, 7, 3],
+                     [5, 1, 2], [4, 1, 5], [3, 1, 4], [1, 3, 0]]
+        mesh = Mesh(vertices, triangles, domain)
+        self._assert_matches_oracle(mesh)
+        # edge (1, 4) is local edge 2 of triangle 5 (row 21) and local edge 0
+        # of triangle 6 (row 6), so triangle 6 comes first
+        e = mesh.edges.tolist().index([1, 4])
+        assert mesh.edge_tris[e].tolist() == [6, 5]
 
 
 class TestRefineUniform:
