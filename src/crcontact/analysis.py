@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from crcontact.assembly import DiscreteSystem
+from crcontact.assembly import DiscreteSystem, friction_weights
 from crcontact.material import MaterialModel
 from crcontact.space import CRFunction, CRSpace, prolongate, sparse_from_local
 
@@ -181,10 +181,9 @@ def brute_force_vi_oracle(system: DiscreteSystem, load: np.ndarray,
     n = system.K.shape[0]
     if n > 2000:
         raise ValueError(f"oracle is for small systems (got {n} free DOFs)")
-    space = system.space
-    prev = u_prev.coeffs[space.contact_tangent_dof]
-    u = minimize_tresca_quadratic(system.K, load, space.contact_tangent_dof,
-                                  g_a * space.contact_edge_lengths, prev, tol=tol)
+    space, idx = system.space, system.space.contact_tangent_dof
+    u = minimize_tresca_quadratic(system.K, load, idx, friction_weights(space, g_a),
+                                  u_prev.coeffs[idx], tol=tol)
     return CRFunction(space, u)
 
 

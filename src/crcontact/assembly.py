@@ -33,8 +33,8 @@ from crcontact.space import CRFunction, CRSpace, sparse_from_local
 class DiscreteSystem:
     """Stiffness over the free DOFs of a space.
 
-    Multiplier lambda_e of contact edge e enters as g_a * h_e * lambda_e at
-    ``space.contact_tangent_dof[e]``, with h_e = ``space.contact_edge_lengths[e]``.
+    Multiplier lambda_e of contact edge e enters as W_e * lambda_e at
+    ``space.contact_tangent_dof[e]``, with W = ``friction_weights(space, g_a)``.
     """
 
     space: CRSpace
@@ -170,23 +170,26 @@ def assemble_load(space: CRSpace, loads: LoadSpec, t: float) -> np.ndarray:
     return sparse_from_local(dofs, 0, vals, (space.n_dofs_free, 1)).toarray().ravel()
 
 
+def friction_weights(space: CRSpace, g_a: float) -> np.ndarray:
+    """W_e = g_a h_e per contact edge, the midpoint-rule weights of the friction functional."""
+    return g_a * space.mesh.edge_lengths[space.contact_edges]
+
+
 def friction_value(space: CRSpace, g_a: float, v: CRFunction) -> float:
-    """Friction functional: sum over contact edges of g_a h_e |v_tau(m_e)|."""
-    tau = v.coeffs[space.contact_tangent_dof]
-    return float(g_a * np.dot(space.contact_edge_lengths, np.abs(tau)))
+    """Friction functional: sum over contact edges of W_e |v_tau(m_e)|."""
+    return float(np.dot(friction_weights(space, g_a), np.abs(v.coeffs[space.contact_tangent_dof])))
 
 
 def friction_rhs(space: CRSpace, g_a: float, lam: np.ndarray) -> np.ndarray:
-    """Uzawa coupling vector: g_a h_e lambda_e at each tangential contact DOF.
+    """Uzawa coupling vector: W_e lambda_e at each tangential contact DOF.
 
     A trajectory subtracts it from the load when it checks a node it forms.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (len(space.contact_edges),):
-        raise ValueError(
-            f"expected one multiplier per contact edge ({len(space.contact_edges)}), got {lam.shape}")
+    w, lam = friction_weights(space, g_a), np.asarray(lam, dtype=float)
+    if lam.shape != w.shape:
+        raise ValueError(f"expected one multiplier per contact edge ({len(w)}), got {lam.shape}")
     if np.any(np.abs(lam) > 1.0 + 1e-12):
         raise ValueError("friction multiplier out of [-1, 1]")
     out = np.zeros(space.n_dofs_free)
-    out[space.contact_tangent_dof] = g_a * space.contact_edge_lengths * lam
+    out[space.contact_tangent_dof] = w * lam
     return out

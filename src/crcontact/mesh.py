@@ -98,12 +98,13 @@ class Domain:
         return Domain(x_min, x_max, y_min, y_max, segs)
 
     @property
-    def diameter(self) -> float:
-        return float(np.hypot(self.x_max - self.x_min, self.y_max - self.y_min))
+    def tol(self) -> float:
+        """Absolute tolerance of every test against the sides: 1e-12 times the diagonal."""
+        return 1e-12 * float(np.hypot(self.x_max - self.x_min, self.y_max - self.y_min))
 
 
 class Mesh:
-    """Immutable triangulation with classified edges.
+    """Immutable triangulation with classified edges, its vertices in the closed rectangle.
 
     Attributes
     ----------
@@ -146,6 +147,11 @@ class Mesh:
         self.parent_map = None if parent_mesh is None else np.arange(nt) // 4
 
         self._build_edges()
+        # inside the closed rectangle, a boundary edge lies along the side its midpoint is on
+        lo, hi = np.array([[domain.x_min, domain.y_min], [domain.x_max, domain.y_max]])
+        outside = ~np.all((lo - domain.tol <= vertices) & (vertices <= hi + domain.tol), axis=1)
+        if np.any(outside):
+            raise ValueError(f"vertices {vertices[outside].tolist()} lie outside the rectangle")
         self._classify_edges()
         for arr in (self.vertices, self.triangles, self.edges, self.edge_tris,
                     self.tri_edges, self.edge_labels, self.areas,
@@ -197,8 +203,7 @@ class Mesh:
                 raise ValueError(f"boundary edge {(int(a[j]), int(m[j]))} has no inherited label")
             labels[boundary] = parent.edge_labels[e]
         else:
-            dom = self.domain
-            tol = 1e-12 * dom.diameter
+            dom, tol = self.domain, self.domain.tol
             side = self.boundary_side(boundary)
             mx, my = self.midpoints[boundary].T
             coord = np.where(np.isin(side, ("left", "right")), my, mx)
@@ -236,8 +241,7 @@ class Mesh:
         e = np.asarray(e)
         if np.any(interior := self.edge_tris[e, 1] >= 0):
             raise ValueError(f"edges at {self._at(e[interior])} are interior")
-        dom = self.domain
-        tol = 1e-12 * dom.diameter
+        dom, tol = self.domain, self.domain.tol
         mx, my = self.midpoints[e].T
         on_side = [np.abs(mx - dom.x_min) <= tol, np.abs(mx - dom.x_max) <= tol,
                    np.abs(my - dom.y_min) <= tol, np.abs(my - dom.y_max) <= tol]

@@ -39,7 +39,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from crcontact.assembly import DiscreteSystem, LoadSpec, assemble_load, friction_rhs
+from crcontact.assembly import (DiscreteSystem, LoadSpec, assemble_load, friction_rhs,
+                                friction_weights)
 from crcontact.space import CRFunction
 
 
@@ -289,7 +290,7 @@ def stable_rho_tilde(system: DiscreteSystem, g_a: float, k_n: float, factor: SPD
     idx = system.space.contact_tangent_dof
     if len(idx) == 0 or g_a == 0.0:
         raise ValueError("rho_tilde = k_n s / g_a needs contact edges and g_a > 0")
-    w = g_a * system.space.contact_edge_lengths
+    w = friction_weights(system.space, g_a)
     return k_n / g_a * _optimal_step(_contact_response(factor, idx, w, rows=idx), w)
 
 
@@ -297,10 +298,10 @@ def uzawa_iterate(b_tau: np.ndarray, Z: np.ndarray, M: np.ndarray, prev_tau: np.
                   lam: np.ndarray, step: float, eps: float, max_iter: int):
     """Array-level Uzawa loop on the m x m contact block.
 
-    With u_base = K^-1 F and Z = K^-1 S^T diag(g_a w), u = u_base - Z lambda
-    solves K u = F - c(lambda), c_i = g_a * w_i * lambda_i on the tangential
-    rows. The multiplier update reads only the contact rows u_tau, so the
-    loop runs on b_tau = u_base[contact rows], M = Z[contact rows],
+    With u_base = K^-1 F and Z = K^-1 S^T diag(W), W the ``friction_weights``,
+    u = u_base - Z lambda solves K u = F - c(lambda), c_i = W_i lambda_i on
+    the tangential rows. The multiplier update reads only the contact rows
+    u_tau, so the loop runs on b_tau = u_base[contact rows], M = Z[contact rows],
     F-ordered so that M dlambda sums like the contact rows of Z dlambda, and
     u_tau: each iteration sets lambda <- P(lambda + step * (u_tau -
     prev_tau)) and u_tau <- u_tau - M dlambda. It stops when the increment
@@ -374,7 +375,7 @@ def march(system: DiscreteSystem, loads: LoadSpec, grid: TimeGrid,
     idx = space.contact_tangent_dof
     Z = M = step = None
     if len(idx) and loads.g_a != 0.0:
-        w = loads.g_a * space.contact_edge_lengths
+        w = friction_weights(space, loads.g_a)
         Z = _contact_response(factor, idx, w)
         M = np.asfortranarray(Z[idx])
         step = _optimal_step(M, w)

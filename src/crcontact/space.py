@@ -2,8 +2,8 @@
 
 Degrees of freedom sit at edge midpoints, two components per edge.
 Dirichlet edges carry no DOFs; contact edges carry only the tangential
-component (the normal one is constrained to zero). Contact edges must be
-axis-aligned so the constraint is a pure coordinate elimination.
+component (the normal one is constrained to zero). The mesh keeps every contact
+edge along a side, so the constraint is a pure coordinate elimination.
 
 A ``CRSpace`` holds the one DOF map, ``edge_dofs``, with -1 for an
 eliminated component, and computes the gradients of its basis
@@ -106,11 +106,7 @@ class CRSpace:
         # per-edge component count: none on Dirichlet edges, the tangential
         # one on contact edges, both otherwise; numbered in edge order
         contact = np.nonzero(labels == BoundaryLabel.CONTACT)[0]
-        dv = mesh.vertices[mesh.edges[contact, 1]] - mesh.vertices[mesh.edges[contact, 0]]
-        tol = 1e-12 * mesh.domain.diameter
-        horizontal = np.abs(dv[:, 1]) <= tol  # tangent x, normal y constrained
-        if not np.all(horizontal | (np.abs(dv[:, 0]) <= tol)):
-            raise ValueError("contact edges must be axis-aligned")
+        horizontal = np.isin(mesh.boundary_side(contact), ("bottom", "top"))  # tangent x, else y
         count = np.full(mesh.n_edges, 2, dtype=np.int64)
         count[labels == BoundaryLabel.DIRICHLET] = 0
         count[contact] = 1
@@ -133,10 +129,6 @@ class CRSpace:
         for arr in (self.local_dofs, self.contact_edges,
                     self.contact_tangent_dof, self.grads):
             arr.setflags(write=False)
-
-    @property
-    def contact_edge_lengths(self) -> np.ndarray:
-        return self.mesh.edge_lengths[self.contact_edges]
 
     def edge_gauss_points(self, e) -> np.ndarray:
         """The two Gauss points on edge(s) e: (2, 2), or (len(e), 2, 2)."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from crcontact.assembly import assemble_stiffness
+from crcontact.assembly import assemble_stiffness, friction_weights
 from crcontact.cli import example_51_config
 from crcontact.mesh import generate_structured, refine_uniform
 from crcontact.solver import SPDFactor, _contact_response, _optimal_step, uzawa_step_solve
@@ -98,7 +98,7 @@ def step_from_load(system, load, u_prev, cfg, g_a, factor=None, step=None):
     idx = space.contact_tangent_dof
     Z = M = None
     if g_a and len(idx):
-        Z, M, optimal = contact_setup(factor, idx, g_a * space.contact_edge_lengths)
+        Z, M, optimal = contact_setup(factor, idx, friction_weights(space, g_a))
         step = optimal if step is None else step
     u = factor.solve(load)
     _, lam, it = uzawa_step_solve(u[idx], Z, M, u_prev.coeffs[idx], np.zeros(len(idx)),

@@ -15,6 +15,7 @@ from crcontact.assembly import (
     element_stiffness,
     friction_rhs,
     friction_value,
+    friction_weights,
 )
 from crcontact.cli import build_meshes
 from crcontact.material import MaterialModel
@@ -308,8 +309,12 @@ class TestFriction:
         coeffs = v.coeffs.copy()
         coeffs[space2.contact_tangent_dof[0]] = 1.0
         v = CRFunction(space2, coeffs)
-        assert space2.contact_edge_lengths[0] == 2.0
+        assert space2.mesh.edge_lengths[space2.contact_edges[0]] == 2.0
         assert friction_value(space2, 0.0012, v) == pytest.approx(0.0024, rel=1e-15)
+
+    def test_weights_are_the_bound_times_the_edge_length(self, space2):
+        # the 2x2 grid's two contact edges have length 2
+        assert np.array_equal(friction_weights(space2, 0.0012), [0.0024, 0.0024])
 
     def test_positive_homogeneity(self, space2):
         rng = np.random.default_rng(1)
@@ -409,6 +414,6 @@ def test_scattered_vectors_equal_direct_formulas(config, level):
     # friction_rhs skips the scatter, since each contact edge has its own
     # tangential DOF and nothing is summed; it must still give the scatter's vector
     lam = np.random.default_rng(level).uniform(-1.0, 1.0, len(space.contact_edges))
-    vals = 0.0012 * space.contact_edge_lengths * lam
+    vals = 0.0012 * space.mesh.edge_lengths[space.contact_edges] * lam
     want = sparse_from_local(space.contact_tangent_dof, 0, vals, (space.n_dofs_free, 1))
     assert np.array_equal(friction_rhs(space, 0.0012, lam), want.toarray().ravel())

@@ -182,8 +182,16 @@ class TestGenerateStructured:
         # are boundary edges of the mesh but not of the domain
         ([[0, 0], [2, 0], [2, 2], [0, 2]], [[0, 1, 2], [0, 2, 3]],
          r"boundary edges at \(2\.0, 1\.0\), \(1\.0, 2\.0\) are not on the rectangle boundary$"),
+        # the edges from (0, 1) and from (4, 1) to (2, -1) have midpoints on
+        # the bottom (contact) side but run at 45 degrees to it
+        ([[0, 1], [2, -1], [4, 1], [0, 7]], [[0, 1, 2], [0, 2, 3]],
+         r"^vertices \[\[2\.0, -1\.0\], \[0\.0, 7\.0\]\] lie outside the rectangle$"),
+        # likewise the edges from (0, 3) and from (4, 3) to (2, 5) on the top (Neumann) side
+        ([[0, 0], [4, 0], [4, 3], [2, 5], [0, 3]], [[0, 1, 2], [0, 2, 4], [4, 2, 3]],
+         r"^vertices \[\[2\.0, 5\.0\]\] lie outside the rectangle$"),
     ], ids=["vertex-shape", "triangle-shape", "negative-index", "index-past-end",
-            "edge-in-three-triangles", "off-boundary"])
+            "edge-in-three-triangles", "off-boundary", "oblique-contact-edges",
+            "oblique-neumann-edges"])
     def test_rejects_bad_triangulation(self, domain, vertices, triangles, message):
         with pytest.raises(ValueError, match=message):
             Mesh(vertices, triangles, domain)
@@ -215,7 +223,7 @@ class TestGenerateStructured:
         assert mesh4.areas.sum() == pytest.approx(16.0, rel=1e-14)
 
     def test_unique_midpoints(self, mesh4):
-        tol = 1e-12 * mesh4.domain.diameter
+        tol = mesh4.domain.tol
         mids = mesh4.midpoints
         for i in range(len(mids)):
             d = np.hypot(*(mids[i + 1:] - mids[i]).T)

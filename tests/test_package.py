@@ -124,6 +124,23 @@ def test_only_space_reads_the_eliminated_dof_sentinel():
     assert not found, found
 
 
+# a Domain's rectangle: its bounds and the tolerance of every test against them
+RECTANGLE = {"x_min", "x_max", "y_min", "y_max", "tol"}
+
+
+def test_only_mesh_reads_the_rectangle():
+    # the mesh owns the geometry: it keeps every vertex in the rectangle, names
+    # each boundary edge's side, and other modules read the side, not the bounds
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "mesh.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in RECTANGLE:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not found, found
+
+
 def test_two_kinds_of_failure():
     # rejected input is a ValueError (a ConfigError when a config file gave it),
     # a failed solve a SolverError: the CLI's exit codes 1 and 2

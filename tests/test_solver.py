@@ -12,7 +12,8 @@ import scipy.sparse.linalg as spla
 
 from crcontact import solver
 from crcontact.analysis import EnergyNormEvaluator, brute_force_vi_oracle, energy_norm
-from crcontact.assembly import LoadSpec, assemble_load, assemble_stiffness, friction_rhs
+from crcontact.assembly import (LoadSpec, assemble_load, assemble_stiffness, friction_rhs,
+                                friction_weights)
 from crcontact.cli import build_meshes, solve_level
 from crcontact.mesh import BoundaryLabel, Domain, generate_structured
 from crcontact.solver import (
@@ -343,7 +344,7 @@ class TestOptimalStep:
         config = two_sided_contact(config)
         system = level_system(config, 0)
         idx = system.space.contact_tangent_dof
-        w = config.loads.g_a * system.space.contact_edge_lengths
+        w = friction_weights(system.space, config.loads.g_a)
         assert np.ptp(w) > 0
         M = _contact_response(SPDFactor(system.K), idx, w, rows=idx)
         eigs = np.linalg.eigvals(M).real
@@ -363,7 +364,7 @@ class TestSymmetricFactor:
     def test_same_contact_response_and_rho_tilde(self, config):
         system = level_system(config, 3)
         idx, g_a = system.space.contact_tangent_dof, config.loads.g_a
-        w = g_a * system.space.contact_edge_lengths
+        w = friction_weights(system.space, g_a)
         lu = spla.splu(system.K.tocsc())  # default ordering, one column at a time
         ref = np.zeros((system.K.shape[0], len(idx)))
         for j, (i, w_i) in enumerate(zip(idx, w)):
@@ -392,7 +393,7 @@ class TestSymmetricFactor:
         # the same symmetric-mode SuperLU call on K in its own numbering
         system = level_system(config, 4)
         K, idx = system.K, system.space.contact_tangent_dof
-        w = config.loads.g_a * system.space.contact_edge_lengths
+        w = friction_weights(system.space, config.loads.g_a)
         factor = SPDFactor(K)
         plain = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                           options={"SymmetricMode": True})
@@ -510,7 +511,7 @@ class TestMarch:
         # block's budget of 2.2 x 8n x 32 bytes.
         system = level_system(config, level)
         idx = system.space.contact_tangent_dof
-        w = config.loads.g_a * system.space.contact_edge_lengths
+        w = friction_weights(system.space, config.loads.g_a)
         factor = SPDFactor(system.K)
         n, m = system.K.shape[0], len(idx)
         M, peak = traced_peak(lambda: _contact_response(factor, idx, w, rows=idx))
@@ -692,7 +693,7 @@ class TestNodeCheck:
 def n_space_march(system, loads, grid, cfg):
     """The former march, as a reference: one guarded solve per Uzawa iteration."""
     factor = SPDFactor(system.K)
-    idx, w = system.space.contact_tangent_dof, loads.g_a * system.space.contact_edge_lengths
+    idx, w = system.space.contact_tangent_dof, friction_weights(system.space, loads.g_a)
     rho_tilde = stable_rho_tilde(system, loads.g_a, grid.k, factor)
     u, lam = np.zeros(system.K.shape[0]), np.zeros(len(idx))
     us, iters = [u], []

@@ -11,10 +11,10 @@ import scipy.sparse as sp
 import crcontact
 from crcontact.analysis import EnergyNormEvaluator, broken_h1_seminorm_error
 from crcontact.assembly import assemble_stiffness
+from crcontact.cli import build_meshes, example_51_config, load_config
 from crcontact.mesh import (
     BoundaryLabel,
     Domain,
-    Mesh,
     generate_structured,
     refine_uniform,
 )
@@ -30,6 +30,7 @@ from crcontact.space import (
     sparse_from_local,
 )
 from conftest import field_at, random_cr
+from test_cli import PRESET_INI, SIDE_KEYS, write_ini
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # midpoint of the edge opposite each vertex
@@ -41,6 +42,21 @@ def values_on(coords, pts):
     coords = np.asarray(coords, dtype=float)
     grads, _ = cr_gradients(coords)
     return cr_values(coords[..., 0, :], grads, np.asarray(pts, dtype=float))
+
+
+def assert_tangent_is_the_edge_direction(config):
+    """On every level, the tangent read from the side is the one that the
+    edge's vertices gave before; returns the finest level's mask of horizontal
+    contact edges."""
+    for mesh in build_meshes(config, config.levels):
+        space = build_space(mesh)
+        e = space.contact_edges
+        dv = mesh.vertices[mesh.edges[e, 1]] - mesh.vertices[mesh.edges[e, 0]]
+        horizontal = np.abs(dv[:, 1]) <= mesh.domain.tol
+        assert np.all(horizontal | (np.abs(dv[:, 0]) <= mesh.domain.tol))
+        assert np.array_equal(space.edge_dofs[e, 1 - horizontal], space.contact_tangent_dof)
+        assert np.all(space.edge_dofs[e, horizontal.astype(int)] == -1)
+    return horizontal
 
 
 class TestDofLayout:
@@ -114,15 +130,15 @@ class TestDofLayout:
         for arr in (space.edge_dofs, space.dof_x, space.local_dofs):
             assert not arr.flags.writeable
 
-    def test_rejects_oblique_contact_edges(self):
-        # the edges from (0, 1) and from (4, 1) to (2, -1) have midpoints on
-        # the bottom (contact) side but run at 45 degrees to it
-        dom = Domain.rectangle(0, 4, 0, 4, left=BoundaryLabel.DIRICHLET, right=BoundaryLabel.NEUMANN,
-                               bottom=BoundaryLabel.CONTACT, top=BoundaryLabel.NEUMANN)
-        mesh = Mesh([[0, 1], [2, -1], [4, 1], [0, 7]], [[0, 1, 2], [0, 2, 3]], dom)
-        assert np.count_nonzero(mesh.edge_labels == BoundaryLabel.CONTACT) == 2
-        with pytest.raises(ValueError, match="contact edges must be axis-aligned"):
-            build_space(mesh)
+    def test_tangent_from_the_side_on_the_preset_meshes(self):
+        assert_tangent_is_the_edge_direction(example_51_config())
+
+    def test_tangent_from_the_side_on_a_vertical_contact_side(self, tmp_path):
+        text = PRESET_INI.replace(SIDE_KEYS, "segments =\n    left 0 1 contact\n"
+                                  "    left 1 4 neumann\n    right 0 4 dirichlet\n"
+                                  "    bottom 0 4 contact\n    top 0 4 neumann")
+        horizontal = assert_tangent_is_the_edge_direction(load_config(write_ini(tmp_path, text)))
+        assert 0 < np.count_nonzero(horizontal) < len(horizontal)
 
     def test_contact_edges_keep_only_tangential(self, mesh2, space2):
         # the bottom side runs along x: x is tangential, y the constrained normal
