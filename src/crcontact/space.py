@@ -188,11 +188,6 @@ class CRFunction:
         padded = np.append(self.coeffs, 0.0)
         return padded[self.space.edge_dofs]  # -1: trailing 0
 
-    def gradients(self) -> np.ndarray:
-        """Constant displacement gradient per triangle: (nt, 2, 2), [t, i, j] = d u_i / d x_j."""
-        local = self.edge_values()[self.space.mesh.tri_edges]  # (nt, 3 local edges, 2 comps)
-        return np.swapaxes(local, 1, 2) @ self.space.grads
-
     def __sub__(self, other: "CRFunction") -> "CRFunction":
         if other.space is not self.space:
             raise ValueError("operands live on different CR spaces")

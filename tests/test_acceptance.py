@@ -35,14 +35,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from crcontact.analysis import (
-    EnergyNormEvaluator,
-    broken_h1_seminorm_error,
-    brute_force_vi_oracle,
-    energy_norm,
-    inter_mesh_error,
-    minimize_tresca_quadratic,
-)
+from crcontact.analysis import EnergyNormEvaluator, energy_norm, inter_mesh_error
 from crcontact.assembly import assemble_load, assemble_stiffness, friction_value
 from crcontact.cli import build_meshes, example_51_config, run_convergence_study, solve_level
 from crcontact.material import MaterialModel
@@ -56,6 +49,7 @@ from crcontact.solver import (
 )
 from crcontact.space import CRFunction, build_space, interpolate_cr
 from conftest import contact_setup, field_at, random_cr, random_tresca_problems, step_from_load
+from oracles import broken_h1_seminorm_error, brute_force_vi_oracle, minimize_tresca_quadratic
 
 # the example-5.1 preset's Young's modulus and Poisson ratio, in plane strain
 PRESET_E, PRESET_NU = 200.0, 0.3

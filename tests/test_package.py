@@ -1,18 +1,24 @@
-"""Package structure: the crcontact modules meet only through public names, each with a caller."""
+"""Package structure: the crcontact modules meet only through public names, each with a caller.
+
+And the CI workflow installs every third-party module that the tests import.
+"""
 
 import ast
 import builtins
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "crcontact"
 PERFBENCH = ROOT / "perfbench"
+# the tests' oracles stay independent of the code they check
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def test_no_module_imports_a_private_name_of_another():
-    sources = sorted(SRC.glob("*.py"))
-    assert len(sources) > 1
+    sources = sorted(SRC.glob("*.py")) + [ORACLES]
+    assert len(sources) > 2
     found = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -21,13 +27,6 @@ def test_no_module_imports_a_private_name_of_another():
                 found += [f"{path.name}: {node.module}.{a.name}" for a in node.names
                           if a.name.startswith("_")]
     assert not found, found
-
-
-# public only so that tests can call them: independent checks, not duplication
-TEST_ORACLES = {
-    "brute_force_vi_oracle": "minimizes a step independently of Uzawa (criterion 5)",
-    "broken_h1_seminorm_error": "integrates an exact gradient for the interpolation rates",
-}
 
 
 def test_every_public_name_is_used_beyond_its_unit_test():
@@ -51,7 +50,7 @@ def test_every_public_name_is_used_beyond_its_unit_test():
     bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
     unused = {name for name in public - used
               if not name.startswith("_") and not re.search(rf"\b{name}\b", bench)}
-    assert unused == set(TEST_ORACLES), sorted(unused)
+    assert not unused, sorted(unused)
 
     # a public method or property counts as used only where the package or the
     # harness reads it as an attribute; a bare word, say in a comment, does not
@@ -159,3 +158,25 @@ def test_two_kinds_of_failure():
     exceptions = {name: base for name, base in bases.items() if is_exception(name)}
     assert exceptions == {"ConfigError": ["ValueError"], "SolverError": ["RuntimeError"],
                           "UzawaError": ["SolverError"]}
+
+
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def test_ci_installs_every_third_party_module_the_tests_import():
+    # read as plain text: CI has no YAML parser before its install step runs
+    installs = re.findall(r"pip install ([^\n]+)", WORKFLOW.read_text())
+    assert len(installs) == 1, installs
+    installed = set(installs[0].split())
+    tests = sorted((ROOT / "tests").glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    local = {path.stem for path in tests} | {SRC.name}
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert {"numpy", "pytest", "crcontact", "conftest"} <= imported
+    missing = imported - local - set(sys.stdlib_module_names) - installed
+    assert not missing, sorted(missing)

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from crcontact import solver
-from crcontact.analysis import EnergyNormEvaluator, brute_force_vi_oracle, energy_norm
+from crcontact.analysis import EnergyNormEvaluator, energy_norm
 from crcontact.assembly import (LoadSpec, assemble_load, assemble_stiffness, friction_rhs,
                                 friction_weights)
 from crcontact.cli import build_meshes, solve_level
@@ -32,6 +32,7 @@ from crcontact.solver import (
 )
 from crcontact.space import CRFunction, build_space
 from conftest import random_cr, step_from_load, traced_peak
+from oracles import brute_force_vi_oracle
 
 
 # friction bound at which every contact edge of the preset sticks at T
