@@ -21,7 +21,11 @@ from crcontact.space import CRFunction, CRSpace, prolongate, sparse_from_local
 
 @dataclass
 class ConvergenceRow:
-    """One line of a refinement study table."""
+    """One line of a refinement study table.
+
+    ``h`` is 1/(n 2^level), one over the grid subdivisions per side. It is
+    not a length: on a side of length L the squares are L h wide.
+    """
 
     N: int
     h: float

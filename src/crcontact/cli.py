@@ -1,9 +1,11 @@
 """Configuration-driven experiment runner: single solves and refinement studies.
 
 Config files are flat INI (key = value in [domain], [material], [loads],
-[solver], [study] sections); the built-in preset ``example-5.1`` encodes a
-clamped square pressed against a rigid foundation under a linearly ramped
-traction.
+[solver], [study] sections), and ``load_config`` is the one way a problem
+description becomes a ``ProblemConfig``. A preset is such a file in
+``presets/``, named by its stem: ``example-5.1`` is a square clamped on one
+side, with frictional contact below and a linearly ramped traction on the
+left; ``regular`` clamps three sides and ramps a body force from zero.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -87,34 +90,6 @@ class ProblemConfig:
         if problems:
             raise ConfigError("; ".join(problems))
 
-
-def example_51_config() -> ProblemConfig:
-    """Clamped square with Tresca contact on the bottom side.
-
-    Square (0,4)^2, clamped on the right, ramped traction on the left,
-    traction-free top, contact with friction bound 0.0012 on the bottom.
-    rho and the Uzawa parameters are the defaults.
-    """
-    domain = Domain.rectangle(
-        0.0, 4.0, 0.0, 4.0,
-        left=BoundaryLabel.NEUMANN,
-        right=BoundaryLabel.DIRICHLET,
-        bottom=BoundaryLabel.CONTACT,
-        top=BoundaryLabel.NEUMANN,
-    )
-    loads = LoadSpec(
-        g_coeffs=((0.1, 0.0, -0.02), (-0.01, 0.0, 0.0)),  # (0.02(5-y), -0.01) per unit time
-        g_time="linear",
-        g_sides=("left",),
-        g_a=0.0012,
-    )
-    return ProblemConfig(
-        domain=domain, material=MaterialModel.from_engineering(200.0, 0.3), loads=loads,
-        T=1.0, N=40, n=2, levels=5,
-    )
-
-
-PRESETS = {"example-5.1": example_51_config}
 
 _LABELS = {
     "dirichlet": BoundaryLabel.DIRICHLET,
@@ -217,6 +192,15 @@ def load_config(path: str) -> ProblemConfig:
     return ProblemConfig(domain=domain, loads=loads,
                          material=_build("material", MaterialModel.from_engineering, **material),
                          uzawa=_build("solver", UzawaConfig, **uzawa), **fields)
+
+
+# a preset is an INI file in presets/, named by its stem
+PRESETS = {path.stem: path for path in sorted((Path(__file__).parent / "presets").glob("*.ini"))}
+
+
+def example_51_config() -> ProblemConfig:
+    """The ``example-5.1`` preset, read from its file like any config."""
+    return load_config(str(PRESETS["example-5.1"]))
 
 
 # -- runners ---------------------------------------------------------------
@@ -381,7 +365,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
-        config = PRESETS[args.preset]() if args.preset else load_config(args.config)
+        config = load_config(args.config or str(PRESETS[args.preset]))
         # before the solve, not after it: an output path fails fast
         _check_writable(args.dump_fields if args.command == "solve" else args.out)
         if args.command == "solve":

@@ -425,7 +425,7 @@ class TestMain:
         with pytest.raises(SystemExit) as exc_info:
             main(["solve", "--help"])
         assert exc_info.value.code == 0
-        assert "(--config CONFIG | --preset {example-5.1})" in capsys.readouterr().out
+        assert "(--config CONFIG | --preset {example-5.1,regular})" in capsys.readouterr().out
 
     def test_solve_preset_exit_0(self, capsys, tmp_path):
         ini = write_ini(tmp_path, PRESET_INI.replace("N = 40", "N = 4"))

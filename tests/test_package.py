@@ -1,10 +1,12 @@
 """Package structure: the crcontact modules meet only through public names, each with a caller.
 
-And the CI workflow installs every third-party module that the tests import.
+And the CI workflow installs every third-party module that the tests import,
+and the package data holds every preset file.
 """
 
 import ast
 import builtins
+import fnmatch
 import re
 import sys
 from pathlib import Path
@@ -180,3 +182,17 @@ def test_ci_installs_every_third_party_module_the_tests_import():
     assert {"numpy", "pytest", "crcontact", "conftest"} <= imported
     missing = imported - local - set(sys.stdlib_module_names) - installed
     assert not missing, sorted(missing)
+
+
+def test_every_preset_file_is_package_data_and_the_readme_writes_out_example_51():
+    # read as plain text, like the workflow: tomllib needs Python 3.11
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[tool.setuptools.package-data]\n", 1)[1].split("\n[", 1)[0]
+    patterns = re.findall(r'"([^"]+)"', re.search(r"^crcontact = \[(.*)\]$", section, re.M)[1])
+    presets = sorted(path.name for path in (SRC / "presets").iterdir())
+    assert "example-5.1.ini" in presets
+    unshipped = [name for name in presets
+                 if not any(fnmatch.fnmatchcase(f"presets/{name}", p) for p in patterns)]
+    assert not unshipped, unshipped
+    readme = (ROOT / "README.md").read_bytes().split(b"```ini\n", 1)[1].split(b"```", 1)[0]
+    assert readme == (SRC / "presets" / "example-5.1.ini").read_bytes()

@@ -1,12 +1,17 @@
-"""Same numbers: the preset's outputs against reference files in ``tests/data``.
+"""Same numbers: the program's outputs against reference files in ``tests/data``.
 
 The references are the outputs of ``crcontact study --preset example-5.1``
 (stdout and ``--out`` CSV), of the same study with ``error_mode = max``
 (CSV), and of ``crcontact solve --preset example-5.1 --level 3`` (stdout and
-``--dump-fields``). Counts (N, DOFs, time steps, Uzawa iterations) and the
-printed table must match exactly. Floats must match to a relative 1e-12 of
-the largest magnitude in their column, because another numpy or scipy may
-round differently. ``tests/test_solver.py`` pins the per-level Uzawa totals.
+``--dump-fields``). On the preset the inter-mesh error peaks at T on every
+level, so its max-mode CSV equals the final-mode one. ``unloading.ini``
+gives max mode a reference of its own: its load runs down to zero net force
+at T, and the error peaks at an earlier node on levels 2 and 3.
+
+Counts (N, DOFs, time steps, Uzawa iterations) and the printed table must
+match exactly. Floats must match to a relative 1e-12 of the largest
+magnitude in their column, because another numpy or scipy may round
+differently. ``tests/test_solver.py`` pins the per-level Uzawa totals.
 
 A change that moves a reference number updates the file here and reports
 the old and new lines in CHANGES.md, as it does for a ``CRITERION`` line.
@@ -54,6 +59,13 @@ def test_max_mode_study_matches_reference(tmp_path, capsys):
     assert main(["study", "--config", ini, "--out", str(out)]) == 0
     capsys.readouterr()
     assert_same_study_csv(out, DATA / "study-max.csv")
+
+
+def test_unloading_max_mode_study_matches_reference(tmp_path, capsys):
+    out = tmp_path / "unloading-max.csv"
+    assert main(["study", "--config", str(DATA / "unloading.ini"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert_same_study_csv(out, DATA / "unloading-max.csv")
 
 
 def test_solve_level_3_matches_reference(tmp_path, capsys):
