@@ -26,6 +26,7 @@ from crcontact.analysis import ConvergenceRow, EnergyNormEvaluator
 from crcontact.assembly import LoadSpec, assemble_stiffness
 from crcontact.material import MaterialModel
 from crcontact.mesh import (
+    SIDES,
     BoundaryLabel,
     BoundarySegment,
     Domain,
@@ -91,13 +92,6 @@ class ProblemConfig:
             raise ConfigError("; ".join(problems))
 
 
-_LABELS = {
-    "dirichlet": BoundaryLabel.DIRICHLET,
-    "neumann": BoundaryLabel.NEUMANN,
-    "contact": BoundaryLabel.CONTACT,
-}
-
-
 def _build(section, make, *args, **kwargs):
     """Call a value type; the ValueError of a rule it breaks names the section."""
     try:
@@ -160,13 +154,12 @@ def load_config(path: str) -> ProblemConfig:
         for line in fetch("domain", "segments").strip().splitlines():
             try:
                 side, lo, hi, label = line.split()
-                segs.append(BoundarySegment(side, real(lo), real(hi), _LABELS[label.lower()]))
+                segs.append(BoundarySegment(side, real(lo), real(hi), BoundaryLabel[label.upper()]))
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"domain.segments: bad line {line.strip()!r}: {exc!r}") from exc
         domain = _build("domain", Domain, *bounds, tuple(segs))
     else:
-        sides = {s: fetch("domain", s, lambda r: _LABELS[r.lower()])
-                 for s in ("left", "right", "bottom", "top")}
+        sides = {s: fetch("domain", s, lambda r: BoundaryLabel[r.upper()]) for s in SIDES}
         domain = _build("domain", Domain.rectangle, *bounds, **sides)
 
     rows = given("loads", gx=floats, gy=floats)  # the two rows of LoadSpec.g_coeffs

@@ -1,7 +1,8 @@
 """Package structure: the crcontact modules meet only through public names, each with a caller.
 
-And the CI workflow installs every third-party module that the tests import,
-and the package data holds every preset file.
+And the CI workflow installs exactly the third-party modules that the tests
+import, which are the packages pyproject.toml declares, and the package data
+holds every preset file.
 """
 
 import ast
@@ -165,8 +166,15 @@ def test_two_kinds_of_failure():
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
+def _declared(text: str, key: str) -> set[str]:
+    """The package names of pyproject.toml's list ``key = [...]``, without versions."""
+    items = re.search(rf"^{key} = \[(.*?)\]", text, re.M | re.S)[1]
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', items))
+
+
 def test_ci_installs_every_third_party_module_the_tests_import():
-    # read as plain text: CI has no YAML parser before its install step runs
+    # read as plain text: CI has no YAML parser before its install step runs,
+    # and tomllib needs Python 3.11
     installs = re.findall(r"pip install ([^\n]+)", WORKFLOW.read_text())
     assert len(installs) == 1, installs
     installed = set(installs[0].split())
@@ -180,8 +188,12 @@ def test_ci_installs_every_third_party_module_the_tests_import():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 imported.add(node.module.split(".")[0])
     assert {"numpy", "pytest", "crcontact", "conftest"} <= imported
-    missing = imported - local - set(sys.stdlib_module_names) - installed
-    assert not missing, sorted(missing)
+    third_party = imported - local - set(sys.stdlib_module_names)
+    # each package here installs the module of its own name
+    assert installed == third_party, sorted(installed ^ third_party)
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    declared = _declared(pyproject, "dependencies") | _declared(pyproject, "test")
+    assert declared == installed, sorted(declared ^ installed)
 
 
 def test_every_preset_file_is_package_data_and_the_readme_writes_out_example_51():
