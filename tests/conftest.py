@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from crcontact.assembly import assemble_stiffness, friction_weights
+from crcontact.assembly import assemble_stiffness
 from crcontact.cli import example_51_config
 from crcontact.mesh import generate_structured, refine_uniform
-from crcontact.solver import SPDFactor, _contact_response, _optimal_step, uzawa_step_solve
+from crcontact.solver import _contact_response, _optimal_step
 from crcontact.space import CRFunction, build_space
 
 
@@ -84,28 +84,6 @@ def contact_setup(factor, idx, weights):
     Z = _contact_response(factor, idx, weights)
     M = np.asfortranarray(Z[idx])
     return Z, M, _optimal_step(M, weights)
-
-
-def step_from_load(system, load, u_prev, cfg, g_a, factor=None, step=None):
-    """``uzawa_step_solve`` on a load vector, set up as ``march`` does it: (u, lambda, iterations).
-
-    Passes the contact rows of u_base = K^-1 load, the contact response Z,
-    its contact block M, zero multipliers and, unless given, the computed
-    step, and forms u = u_base - Z lambda as the trajectory forms a node.
-    """
-    factor = SPDFactor(system.K) if factor is None else factor
-    space = system.space
-    idx = space.contact_tangent_dof
-    Z = M = None
-    if g_a and len(idx):
-        Z, M, optimal = contact_setup(factor, idx, friction_weights(space, g_a))
-        step = optimal if step is None else step
-    u = factor.solve(load)
-    _, lam, it = uzawa_step_solve(u[idx], Z, M, u_prev.coeffs[idx], np.zeros(len(idx)),
-                                  step, cfg)
-    if Z is not None:
-        u -= Z @ lam
-    return CRFunction(space, u), lam, it
 
 
 def random_tresca_problems():

@@ -31,7 +31,7 @@ from crcontact.solver import (
     uzawa_iterate,
 )
 from crcontact.space import CRFunction, build_space
-from conftest import random_cr, step_from_load, traced_peak
+from conftest import random_cr, traced_peak
 from oracles import brute_force_vi_oracle
 
 
@@ -183,57 +183,54 @@ class TestSolveSPD:
 
 
 class TestUzawaStep:
-    def test_zero_loads_fixed_point(self, system2, space2, config):
-        cfg = UzawaConfig()
-        u, lam, it = step_from_load(system2, np.zeros(space2.n_dofs_free),
-                                    CRFunction.zero(space2), cfg, config.loads.g_a)
-        assert it == 1
-        assert np.all(u.coeffs == 0.0)
-        assert np.all(lam == 0.0)
+    """One step of ``march`` from rest: TimeGrid(T=t, N=1) steps to t."""
+
+    def test_zero_loads_fixed_point(self, system2, config):
+        loads = dataclasses.replace(config.loads, g_coeffs=((0.0,) * 3, (0.0,) * 3))
+        traj = march(system2, loads, TimeGrid(T=1.0, N=1), UzawaConfig())
+        assert traj.uzawa_iters == [1]
+        assert np.all(traj[1].coeffs == 0.0)
+        assert np.all(traj.multipliers[1] == 0.0)
 
     def test_frictionless_matches_linear_solve(self, system2, space2, config):
-        load = assemble_load(space2, config.loads, 1.0)
-        cfg = UzawaConfig()
-        u, lam, it = step_from_load(system2, load, CRFunction.zero(space2), cfg, g_a=0.0)
-        direct = SPDFactor(system2.K).solve(load)
-        assert np.max(np.abs(u.coeffs - direct)) <= 1e-9 * max(1, np.max(np.abs(direct)))
-        assert np.all(lam == 0.0)
+        loads = dataclasses.replace(config.loads, g_a=0.0)
+        traj = march(system2, loads, TimeGrid(T=1.0, N=1), UzawaConfig())
+        direct = SPDFactor(system2.K).solve(assemble_load(space2, config.loads, 1.0))
+        assert np.max(np.abs(traj[1].coeffs - direct)) <= 1e-9 * max(1, np.max(np.abs(direct)))
+        assert np.all(traj.multipliers[1] == 0.0)
 
     def test_first_step_matches_oracle(self, system2, space2, material, config):
         k = 0.025
+        traj = march(system2, config.loads, TimeGrid(T=k, N=1), UzawaConfig(eps=1e-12))
         load = assemble_load(space2, config.loads, k)
-        cfg = UzawaConfig(eps=1e-12)
-        u, lam, _ = step_from_load(system2, load, CRFunction.zero(space2),
-                                   cfg, config.loads.g_a)
         ref = brute_force_vi_oracle(system2, load, CRFunction.zero(space2),
                                     config.loads.g_a, tol=1e-12)
-        err = energy_norm(u - ref, material, config.rho)
+        err = energy_norm(traj[1] - ref, material, config.rho)
         scale = energy_norm(ref, material, config.rho)
         assert err <= 1e-6 * scale
-        assert np.max(np.abs(lam)) <= 1.0
+        assert np.max(np.abs(traj.multipliers[1])) <= 1.0
 
-    def test_max_iter_exceeded_carries_state(self, system2, space2, config):
+    def test_max_iter_exceeded_carries_state(self, system2, config):
         # the stick regime: the preset's step would converge within the cap
-        load = assemble_load(space2, config.loads, 1.0)
+        loads = dataclasses.replace(config.loads, g_a=STICK_G_A)
         cfg = UzawaConfig(eps=1e-14, max_iter=3)
         with pytest.raises(UzawaError) as exc_info:
-            step_from_load(system2, load, CRFunction.zero(space2), cfg, STICK_G_A)
+            march(system2, loads, TimeGrid(T=1.0, N=1), cfg)
         err = exc_info.value
+        assert err.step == 1
         assert np.max(np.abs(err.last_lam)) <= 1.0
         assert len(err.history) == 3
 
-    def test_fixed_point_independent_of_rho_tilde(self, system2, space2,
-                                                  material, config):
-        k, g_a = 0.025, config.loads.g_a
-        load = assemble_load(space2, config.loads, k)
-        auto = stable_rho_tilde(system2, g_a, k, SPDFactor(system2.K)) * g_a / k
-        results = []
-        cfg = UzawaConfig(eps=1e-13, max_iter=100000)
-        for step in (0.5 * auto, auto):
-            u, _, _ = step_from_load(system2, load, CRFunction.zero(space2), cfg, g_a, step=step)
-            results.append(u)
-        diff = energy_norm(results[0] - results[1], material, config.rho)
-        scale = energy_norm(results[1], material, config.rho)
+    def test_fixed_point_independent_of_rho_tilde(self, monkeypatch, system2, material, config):
+        # the second run takes half the step that march computes
+        grid, cfg = TimeGrid(T=0.025, N=1), UzawaConfig(eps=1e-13, max_iter=100000)
+        auto = march(system2, config.loads, grid, cfg)
+        optimal_step = solver._optimal_step
+        monkeypatch.setattr(solver, "_optimal_step", lambda M, w: 0.5 * optimal_step(M, w))
+        half = march(system2, config.loads, grid, cfg)
+        assert half.uzawa_iters != auto.uzawa_iters
+        diff = energy_norm(half[1] - auto[1], material, config.rho)
+        scale = energy_norm(auto[1], material, config.rho)
         assert diff <= 1e-7 * scale
 
 
@@ -722,8 +719,9 @@ class TestContactSpaceMarch:
 
     @pytest.mark.parametrize("g_a,level,total,most", [
         (None, 0, 51, 10), (None, 1, 193, 77), (None, 2, 457, 169), (None, 3, 1455, 315),
+        (None, 4, 3971, 568),
         (STICK_G_A, 0, 1160, 29), (STICK_G_A, 1, 6560, 82), (STICK_G_A, 2, 27040, 169),
-    ], ids=["preset-L0", "preset-L1", "preset-L2", "preset-L3",
+    ], ids=["preset-L0", "preset-L1", "preset-L2", "preset-L3", "preset-L4",
             "stick-L0", "stick-L1", "stick-L2"])
     def test_uzawa_counts(self, config, g_a, level, total, most):
         loads = config.loads if g_a is None else dataclasses.replace(config.loads, g_a=g_a)
