@@ -217,6 +217,7 @@ def test_criterion_5_oracle_equivalence(small_problem):
         err = energy_norm(traj[n] - ref, mat, rho)
         scale = max(energy_norm(ref, mat, rho), 1e-30)
         worst = max(worst, err / scale)
+        assert np.max(np.abs(traj.multipliers[n])) <= 1.0
     steps_ok = worst <= 1e-6
 
     worst_rand = 0.0
@@ -229,6 +230,7 @@ def test_criterion_5_oracle_equivalence(small_problem):
                                      step, 1e-12, 100000)
         diff = u - Z @ lam - ref
         worst_rand = max(worst_rand, float(np.sqrt(diff @ (K @ diff))))
+        assert np.max(np.abs(lam)) <= 1.0
     rand_ok = worst_rand <= 1e-6
     report(5, steps_ok and rand_ok,
            f"worst relative step disagreement {worst:.2e} (<= 1e-6); "

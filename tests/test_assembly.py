@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from crcontact.analysis import EnergyNormEvaluator
 from crcontact.assembly import (
     LoadSpec,
     assemble_load,
@@ -145,16 +144,6 @@ class TestStiffness:
                     assert abs(Kv[d]) <= 1e-13 * scale
                     checked += 1
         assert checked > 0
-
-    def test_norm_consistency_random_fields(self, space2, system2, material, config):
-        evaluator = EnergyNormEvaluator(space2, material, config.rho)
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            v = random_cr(space2, rng)
-            quad = float(v.coeffs @ (system2.K @ v.coeffs))
-            elem, jump = evaluator.breakdown(v)
-            assert quad == pytest.approx(elem + jump, rel=1e-10)
-
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_equals_the_int64_concatenated_scatter(self, config, level):

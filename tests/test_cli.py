@@ -12,10 +12,8 @@ from crcontact.assembly import LoadSpec
 from crcontact.analysis import ConvergenceRow, inter_mesh_error
 from crcontact.cli import (
     ConfigError,
-    ProblemConfig,
     build_meshes,
     example_51_config,
-    format_table,
     load_config,
     main,
     run_convergence_study,
@@ -24,7 +22,7 @@ from crcontact.cli import (
     write_csv,
 )
 from crcontact.material import MaterialModel
-from crcontact.mesh import BoundaryLabel, Domain
+from crcontact.mesh import BoundaryLabel
 from crcontact import cli, solver
 from crcontact.solver import SolverError, UzawaConfig, UzawaError
 from crcontact.space import prolongation_matrix
@@ -326,18 +324,6 @@ def unloading():
 
 
 class TestConvergenceStudy:
-    def test_structure(self, small_rows):
-        assert [r.dof for r in small_rows] == [28, 104, 400]
-        assert [r.N for r in small_rows] == [40, 80, 160]
-        assert small_rows[0].error is None and small_rows[0].order is None
-        assert small_rows[1].error is not None and small_rows[1].order is None
-        assert small_rows[2].order is not None
-
-    def test_h_and_k_halve(self, small_rows):
-        for prev, curr in zip(small_rows, small_rows[1:]):
-            assert curr.h == pytest.approx(prev.h / 2)
-            assert curr.k == pytest.approx(prev.k / 2)
-
     def test_rejects_single_level(self):
         cfg = dataclasses.replace(example_51_config(), levels=1)
         with pytest.raises(ConfigError):
@@ -356,13 +342,6 @@ class TestConvergenceStudy:
         write_csv(small_rows, a)
         write_csv(rows2, b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_format_table(self, small_rows):
-        text = format_table(small_rows)
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert "error" in lines[0] and "order" in lines[0]
-        assert lines[1].split()[-1] == "-"
 
     def test_solver_failure_keeps_diagnostics(self):
         cfg = dataclasses.replace(example_51_config(), levels=2,
@@ -463,14 +442,6 @@ class TestMain:
             assert match and float(match[1]) == pytest.approx(n / 40, rel=1e-6), line
             iters.append(int(match[2]))
         assert f"uzawa_iterations_total: {sum(iters)}\n" in loud.out
-
-    def test_study_writes_csv(self, capsys, tmp_path):
-        ini = write_ini(tmp_path, PRESET_INI.replace("levels = 5", "levels = 2"))
-        out_csv = tmp_path / "rows.csv"
-        assert main(["study", "--config", ini, "--out", str(out_csv)]) == 0
-        rows = read_rows(out_csv)
-        assert [r.dof for r in rows] == [28, 104]
-        assert "order" in capsys.readouterr().out
 
     def test_solver_failure_exit_2(self, capsys, tmp_path):
         # an unreachable tolerance with a tiny iteration cap must surface as

@@ -61,15 +61,6 @@ def assert_tangent_is_the_edge_direction(config):
 
 
 class TestDofLayout:
-    def test_reported_counts_follow_refinement(self, domain):
-        # 2 x (#edges - #Dirichlet edges) per level
-        expected = [28, 104, 400, 1568, 6208]
-        mesh = generate_structured(domain, 2)
-        for want in expected:
-            space = build_space(mesh)
-            assert space.n_dofs_reported == want
-            mesh = refine_uniform(mesh)
-
     def test_all_dirichlet_count(self):
         dom = Domain.rectangle(0, 4, 0, 4,
                                left=BoundaryLabel.DIRICHLET, right=BoundaryLabel.DIRICHLET,
@@ -297,23 +288,6 @@ class TestInterpolation:
             exact_mean = (xa * xa + xa * xb + xb * xb) / 3.0
             assert fn.coeffs[d] == pytest.approx(exact_mean, rel=1e-13, abs=1e-14)
 
-    def test_commutes_with_time_differencing(self, space4):
-        def v0(x, y):
-            return (np.sin(x), x - y)
-
-        def v1(x, y):
-            return (x * y, np.cos(y))
-
-        def at(t):
-            return lambda x, y: np.asarray(v0(x, y)) + t * np.asarray(v1(x, y))
-
-        t1, t2 = 0.3, 0.9
-        diff = (interpolate_cr(at(t2), space4).coeffs
-                - interpolate_cr(at(t1), space4).coeffs) / (t2 - t1)
-        direct = interpolate_cr(v1, space4).coeffs
-        scale = max(1.0, np.max(np.abs(direct)))
-        assert np.max(np.abs(diff - direct)) <= 1e-12 * scale
-
     def test_jump_mean_zero_on_interior_edges(self, space4, mesh4):
         rng = np.random.default_rng(5)
         fn = random_cr(space4, rng)
@@ -328,27 +302,6 @@ class TestInterpolation:
             m0 = means[t0, list(mesh4.tri_edges[t0]).index(e)]
             m1 = means[t1, list(mesh4.tri_edges[t1]).index(e)]
             assert np.max(np.abs(m0 - m1)) <= 1e-10 * scale
-
-    def test_interpolation_error_order(self, domain):
-        def v(x, y):
-            return (np.sin(np.pi * x / 4.0) * np.sin(np.pi * y / 4.0), 0.0)
-
-        def grad_v(x, y):
-            c = np.pi / 4.0
-            return np.array([
-                [c * np.cos(c * x) * np.sin(c * y), c * np.sin(c * x) * np.cos(c * y)],
-                [0.0, 0.0],
-            ])
-
-        errors = []
-        # start at n=4: the 2x2 grid is preasymptotic for this field
-        mesh = generate_structured(domain, 4)
-        for _ in range(4):
-            space = build_space(mesh)
-            errors.append(broken_h1_seminorm_error(interpolate_cr(v, space), grad_v))
-            mesh = refine_uniform(mesh)
-        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
-        assert np.all(orders >= 0.95)
 
 
 class TestProlongation:
